@@ -3,6 +3,7 @@
 #include "blas/LocalKernels.h"
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "support/ThreadPool.h"
@@ -18,11 +19,11 @@ constexpr int64_t BlockK = 256, BlockN = 1024;
 /// more than it buys; fall through to the unpacked blocked loop.
 constexpr int64_t PackFlopCutoff = 1 << 16;
 constexpr int64_t ParallelFlopCutoff = 1 << 20;
-/// Reductions accumulate per-chunk partials of this fixed size and combine
-/// them in chunk order. The association depends only on N — never on the
-/// pool or the ways budget — so results are bitwise-identical at every
-/// thread configuration.
-constexpr int64_t ReduceChunk = 1 << 15;
+/// Independent accumulators per reduction chunk. A single accumulator
+/// waits on the floating-point add latency at every element; this many
+/// chains keep the adders busy, so a dot or sum runs at the speed of its
+/// loads.
+constexpr int ReduceLanes = 8;
 /// Vector updates shorter than this are not worth a fan-out.
 constexpr int64_t VectorParallelCutoff = 1 << 16;
 
@@ -231,34 +232,55 @@ void gemmGeneral(double *C, const double *A, const double *B, int64_t M,
               K, CsM, CsN, AsM, AsK, BsK, BsN);
 }
 
-void gemv(double *Y, const double *A, const double *X, int64_t M, int64_t K,
-          int64_t LdA) {
-  for (int64_t I = 0; I < M; ++I) {
-    const double *__restrict__ ARow = A + I * LdA;
-    double Sum = 0;
-    for (int64_t KK = 0; KK < K; ++KK)
-      Sum += ARow[KK] * X[KK];
-    Y[I] += Sum;
-  }
-}
-
 namespace {
 
-/// Shared skeleton of the strided reductions: per-chunk partials combined
-/// in chunk order. The chunk grid depends only on N, so every (pool, ways)
-/// configuration computes bit-identical sums; a single-chunk N degenerates
-/// to the plain left-to-right loop.
-template <typename ChunkFn>
+/// A * B + C, rounded once where the target has a fast FMA. Spelling the
+/// fusion out keeps a reduction's bits independent of where the compiler
+/// chooses to contract a multiply into an add, which it may decide
+/// differently in each inlined copy of the same loop.
+inline double mulAdd(double A, double B, double C) {
+#ifdef FP_FAST_FMA
+  return std::fma(A, B, C);
+#else
+  return A * B + C;
+#endif
+}
+
+/// Folds [Lo, Hi) into a sum: Acc = Step(Acc, I). Index Lo + R * ReduceLanes
+/// + L goes to lane L; the lanes combine in a fixed pairwise tree, and the
+/// last (Hi - Lo) % ReduceLanes indices then fold left to right. The
+/// association depends only on Hi - Lo, and a range shorter than
+/// ReduceLanes is the plain left-to-right loop.
+template <typename StepFn>
+inline double laneSum(int64_t Lo, int64_t Hi, const StepFn &Step) {
+  double Lane[ReduceLanes] = {};
+  int64_t I = Lo;
+  for (; I + ReduceLanes <= Hi; I += ReduceLanes)
+    for (int L = 0; L < ReduceLanes; ++L)
+      Lane[L] = Step(Lane[L], I + L);
+  for (int Width = ReduceLanes / 2; Width > 0; Width /= 2)
+    for (int L = 0; L < Width; ++L)
+      Lane[L] += Lane[L + Width];
+  double Sum = Lane[0];
+  for (; I < Hi; ++I)
+    Sum = Step(Sum, I);
+  return Sum;
+}
+
+/// Shared skeleton of the reductions: laneSum over each ReduceChunk-sized
+/// chunk, partials combined in chunk order. The chunk grid depends only on
+/// N, so every (pool, ways) configuration computes bit-identical sums.
+template <typename StepFn>
 double reduceChunked(const LeafParallelism &LP, int64_t N,
-                     const ChunkFn &Chunk) {
+                     const StepFn &Step) {
   int64_t NumChunks = (N + ReduceChunk - 1) / ReduceChunk;
   if (NumChunks <= 1)
-    return Chunk(0, N);
+    return laneSum(0, N, Step);
   std::vector<double> Partials(static_cast<size_t>(NumChunks));
   runRange(LP, NumChunks, LP.enabled(), [&](int64_t Lo, int64_t Hi) {
     for (int64_t C = Lo; C < Hi; ++C)
-      Partials[C] =
-          Chunk(C * ReduceChunk, std::min((C + 1) * ReduceChunk, N));
+      Partials[C] = laneSum(C * ReduceChunk,
+                            std::min((C + 1) * ReduceChunk, N), Step);
   });
   double Sum = 0;
   for (double P : Partials)
@@ -270,11 +292,8 @@ double reduceChunked(const LeafParallelism &LP, int64_t N,
 
 double dot(const LeafParallelism &LP, const double *A, const double *B,
            int64_t N) {
-  return reduceChunked(LP, N, [&](int64_t Lo, int64_t Hi) {
-    double Sum = 0;
-    for (int64_t I = Lo; I < Hi; ++I)
-      Sum += A[I] * B[I];
-    return Sum;
+  return reduceChunked(LP, N, [&](double Acc, int64_t I) {
+    return mulAdd(A[I], B[I], Acc);
   });
 }
 
@@ -286,11 +305,8 @@ double dotStrided(const LeafParallelism &LP, const double *A, int64_t SA,
                   const double *B, int64_t SB, int64_t N) {
   if (SA == 1 && SB == 1)
     return dot(LP, A, B, N);
-  return reduceChunked(LP, N, [&](int64_t Lo, int64_t Hi) {
-    double Sum = 0;
-    for (int64_t I = Lo; I < Hi; ++I)
-      Sum += A[I * SA] * B[I * SB];
-    return Sum;
+  return reduceChunked(LP, N, [&](double Acc, int64_t I) {
+    return mulAdd(A[I * SA], B[I * SB], Acc);
   });
 }
 
@@ -301,12 +317,8 @@ double dotStrided(const double *A, int64_t SA, const double *B, int64_t SB,
 
 double sumStrided(const LeafParallelism &LP, const double *A, int64_t SA,
                   int64_t N) {
-  return reduceChunked(LP, N, [&](int64_t Lo, int64_t Hi) {
-    double Sum = 0;
-    for (int64_t I = Lo; I < Hi; ++I)
-      Sum += A[I * SA];
-    return Sum;
-  });
+  return reduceChunked(LP, N,
+                       [&](double Acc, int64_t I) { return Acc + A[I * SA]; });
 }
 
 double sumStrided(const double *A, int64_t SA, int64_t N) {

@@ -15,8 +15,8 @@
 /// process-global pool when profitable, and run sequentially when invoked
 /// from inside any pool's worker. All kernels are bitwise-deterministic
 /// for every pool size and ways budget: parallel splits cover disjoint
-/// output ranges, and reductions use a fixed chunk association independent
-/// of the split.
+/// output ranges, and reductions use a fixed association that depends only
+/// on the length (see ReduceChunk).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,16 +59,22 @@ void gemmGeneral(double *C, const double *A, const double *B, int64_t M,
                  int64_t N, int64_t K, int64_t CsM, int64_t CsN, int64_t AsM,
                  int64_t AsK, int64_t BsK, int64_t BsN);
 
-/// y[m] += A[m,k] * x[k].
-void gemv(double *Y, const double *A, const double *X, int64_t M, int64_t K,
-          int64_t LdA);
+/// The reductions (dot, dotStrided, sumStrided) split [0, N) into chunks of
+/// this fixed size. Each chunk sums into eight independent accumulator
+/// lanes, combined in a fixed tree before the chunk's last (length % 8)
+/// elements add left to right; the chunk partials then add in chunk order.
+/// Chunks are also the unit of parallel fan-out. The association depends
+/// only on N — never on the pool or the ways budget — so results are
+/// bitwise-identical at every thread configuration.
+constexpr int64_t ReduceChunk = 1 << 15;
 
 /// Dot product of two contiguous vectors.
 double dot(const LeafParallelism &LP, const double *A, const double *B,
            int64_t N);
 double dot(const double *A, const double *B, int64_t N);
 
-/// Dot product with arbitrary element strides.
+/// Dot product with arbitrary element strides. Unit strides give exactly
+/// dot's result.
 double dotStrided(const LeafParallelism &LP, const double *A, int64_t SA,
                   const double *B, int64_t SB, int64_t N);
 double dotStrided(const double *A, int64_t SA, const double *B, int64_t SB,

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <numeric>
 
 #include "blas/LocalKernels.h"
 #include "support/Error.h"
@@ -122,6 +123,74 @@ bool verifyAffineStructure(LeafEngine &E, const ProvenanceGraph &Prov,
   return true;
 }
 
+/// Moves the outer leaf loops that only index the output to just above the
+/// innermost loop, so the largest right-hand-side tensor streams through
+/// once instead of once per iteration of those loops (MTTKRP's default leaf
+/// order l, ii, ji, k read B's block once per l). A loop moves when each
+/// original variable it feeds is an output index that the largest
+/// right-hand-side access does not use and that no other leaf loop feeds.
+/// The output element then fixes the moved loop's value, so every element
+/// still receives its contributions in the same order and results are
+/// bitwise-unchanged. The innermost loop stays innermost, and the loops
+/// keep their relative order otherwise. A leaf whose output is also read
+/// on the right-hand side keeps its order.
+void sinkOutputLoops(LeafEngine &E) {
+  int Inner = E.NumLeaf - 1;
+  if (Inner < 2)
+    return;
+  const Access &Out = E.Accesses[0];
+  int Big = -1;
+  int64_t BigVolume = -1;
+  for (int A = 1; A < E.NumAcc; ++A) {
+    if (E.Accesses[A].tensor() == Out.tensor())
+      return;
+    int64_t Volume = 1;
+    for (Coord Extent : E.Accesses[A].tensor().shape())
+      Volume *= Extent;
+    if (Volume > BigVolume) {
+      Big = A;
+      BigVolume = Volume;
+    }
+  }
+  if (Big < 0)
+    return;
+  // Movable[V]: an output index, unused by the largest access, fed by one
+  // leaf loop.
+  std::vector<bool> Movable(E.NumOrig, false);
+  for (const IndexVar &V : Out.indices())
+    Movable[E.OrigIdx.at(V)] = true;
+  for (const IndexVar &V : E.Accesses[Big].indices())
+    Movable[E.OrigIdx.at(V)] = false;
+  for (int V = 0; V < E.NumOrig; ++V)
+    if (std::count_if(E.VarCoef[V].begin(), E.VarCoef[V].end(),
+                      [](Coord C) { return C != 0; }) != 1)
+      Movable[V] = false;
+  std::vector<bool> Move(Inner, false);
+  for (int I = 0; I < Inner; ++I) {
+    bool Feeds = false, Ok = true;
+    for (int V = 0; V < E.NumOrig; ++V)
+      if (E.VarCoef[V][I] != 0) {
+        Feeds = true;
+        Ok = Ok && Movable[V];
+      }
+    Move[I] = Feeds && Ok;
+  }
+
+  std::vector<int> Order(E.NumLeaf);
+  std::iota(Order.begin(), Order.end(), 0);
+  std::stable_partition(Order.begin(), Order.end() - 1,
+                        [&](int I) { return !Move[I]; });
+  auto Permute = [&](auto &Vec) {
+    auto Old = Vec;
+    for (int I = 0; I < E.NumLeaf; ++I)
+      Vec[I] = Old[Order[I]];
+  };
+  Permute(E.LeafV);
+  Permute(E.LeafExtents);
+  for (std::vector<Coord> &Coef : E.VarCoef)
+    Permute(Coef);
+}
+
 /// Binds the engine to this step's fixed values and instances: recovers the
 /// bases, re-derives the per-access offset functions from the instance
 /// strides, and validates the cached affine structure (recompiling it if a
@@ -158,6 +227,7 @@ bool prepareStep(LeafEngine &E, const Plan &P,
     E.CurVal.resize(E.NumOrig);
     E.Odometer.assign(std::max(E.NumLeaf - 1, 0), 0);
     computeVarCoefs(E, Prov, FixedVals);
+    sinkOutputLoops(E);
     if (!verifyAffineStructure(E, Prov, FixedVals))
       reportFatalError("leaf loops are not affine in the leaf variables; "
                        "rotate must be applied to sequential step loops only");
@@ -272,8 +342,8 @@ enum class InnerKind {
 /// General compiled path: odometer over the outer leaf loops maintaining
 /// running offsets, guard hoisted to a per-row trip count, innermost loop
 /// routed to the best-matching kernel. \p LP bounds the nested fan-out of
-/// the routed kernels; the reductions among them use a fixed chunk
-/// association, so results are bitwise-identical for every budget.
+/// the routed kernels; the reductions among them use a fixed association,
+/// so results are bitwise-identical for every budget.
 /// \p Overwrite assigns output elements instead of accumulating (see
 /// runCompiledLeaf); the exactly-once proof behind it guarantees each
 /// element is written by a single (row, trip) so plain stores suffice.

@@ -7,10 +7,12 @@
 /// variables whose coefficient structure is cached per task across steps
 /// (and across executions of a CompiledPlan — only the bases and instance
 /// bindings are re-derived per step, validated with one probe at the far
-/// corner of the leaf domain); guards hoist out of the innermost loop; and
-/// recognisable loop structures route to blas:: kernels (GEMM for
-/// matrix-multiply leaves, strided dot / axpy / sum for contraction and
-/// elementwise innermost loops).
+/// corner of the leaf domain); loops that only index the output sink to
+/// just above the innermost loop, so the largest operand streams once;
+/// guards hoist out of the innermost loop; and recognisable loop
+/// structures route to blas:: kernels (GEMM for matrix-multiply leaves,
+/// strided dot / axpy / sum for contraction and elementwise innermost
+/// loops).
 ///
 /// The seed per-point expression-tree interpreter survives as
 /// runInterpretedLeaf for differential tests and benchmarks.
@@ -61,7 +63,8 @@ Tape compileTape(const Expr &Rhs);
 struct LeafEngine {
   bool Ready = false;
   int NumLeaf = 0, NumOrig = 0, NumAcc = 0;
-  std::vector<IndexVar> LeafV, OrigV;
+  std::vector<IndexVar> LeafV; ///< Leaf loops in run order (after sinking).
+  std::vector<IndexVar> OrigV;
   std::vector<Access> Accesses; ///< LHS first.
   std::map<IndexVar, int> OrigIdx;
   std::vector<Coord> LeafExtents;

@@ -73,7 +73,12 @@ public:
   /// Fuses two adjacent nested loops into one.
   Schedule &collapse(const IndexVar &Outer, const IndexVar &Inner,
                      const IndexVar &Fused);
-  /// Marks a loop for intra-processor parallel execution.
+  /// Tags a loop as intra-processor parallel (LoopSpec::Parallelized). Only
+  /// printing and fingerprinting (ConcreteNest::str, Plan::fingerprint) and
+  /// the C++ emitter (EmitCpp) read the tag; the execution engine ignores
+  /// it. Leaf fan-out comes from the ExecContext's leaf-ways budget
+  /// instead, and the leaf engine may move a tagged leaf loop when it sinks
+  /// output-only loops (see runtime/LeafCompiler).
   Schedule &parallelize(const IndexVar &V);
   /// Records a precompute (workspace) request. Workspaces do not change
   /// distributed structure for the dense kernels studied here; the command

@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <thread>
 #include <vector>
 
@@ -267,4 +268,59 @@ TEST(ExecContext, ParallelBlasKernelsBitwiseMatchSequential) {
   blas::gemm(Seq, CSeq.data(), A.data(), B.data(), GN, GN, GN, GN, GN, GN);
   for (int64_t I = 0; I < GN * GN; ++I)
     ASSERT_EQ(CPar[I], CSeq[I]) << "gemm element " << I;
+}
+
+TEST(ExecContext, ReductionKernelsKeepOneAssociation) {
+  // The reductions sum in fixed accumulator lanes inside fixed chunks, so
+  // lengths around the lane width and the chunk size are the edge cases.
+  // Every result must be bitwise-identical without a pool and at 2 and 4
+  // leaf ways, stride-1 dotStrided must be dot, and each sum must be close
+  // to a long double reference. The data is positive, so the sums are well
+  // conditioned and a relative bound of 1e-12 is tight.
+  ExecContext Ctx(4);
+  const LeafParallelism Ways[] = {{}, {Ctx.pool(), 2}, {Ctx.pool(), 4}};
+  const int64_t C = blas::ReduceChunk;
+  const int64_t Lengths[] = {0, 1, 7, 8, 9, 15, 16, 17, 383, 384, 385,
+                             C - 1, C, C + 1, 3 * C + 5};
+  const int64_t MaxLen = 3 * C + 5;
+  std::vector<double> X(3 * MaxLen), Y(3 * MaxLen);
+  for (size_t I = 0; I < X.size(); ++I) {
+    X[I] = 0.5 + static_cast<double>((I * 37) % 1009) / 1009.0;
+    Y[I] = 0.25 + static_cast<double>((I * 53) % 997) / 997.0;
+  }
+  auto Close = [](double Got, long double Want) {
+    long double Err = std::abs(static_cast<long double>(Got) - Want);
+    return Err <= 1e-12L * std::abs(Want);
+  };
+  for (int64_t N : Lengths) {
+    long double Dot = 0;
+    for (int64_t I = 0; I < N; ++I)
+      Dot += static_cast<long double>(X[I]) * Y[I];
+    double Want = blas::dot(Ways[0], X.data(), Y.data(), N);
+    EXPECT_TRUE(Close(Want, Dot)) << "dot N=" << N;
+    for (const LeafParallelism &LP : Ways) {
+      EXPECT_EQ(blas::dot(LP, X.data(), Y.data(), N), Want) << "N=" << N;
+      EXPECT_EQ(blas::dotStrided(LP, X.data(), 1, Y.data(), 1, N), Want)
+          << "N=" << N;
+    }
+    for (int64_t S : {1, 2, 3}) {
+      long double StridedDot = 0, Sum = 0;
+      for (int64_t I = 0; I < N; ++I) {
+        StridedDot += static_cast<long double>(X[I * S]) * Y[I * (4 - S)];
+        Sum += X[I * S];
+      }
+      double WantDot =
+          blas::dotStrided(Ways[0], X.data(), S, Y.data(), 4 - S, N);
+      double WantSum = blas::sumStrided(Ways[0], X.data(), S, N);
+      EXPECT_TRUE(Close(WantDot, StridedDot)) << "dotStrided N=" << N;
+      EXPECT_TRUE(Close(WantSum, Sum)) << "sumStrided N=" << N;
+      for (const LeafParallelism &LP : Ways) {
+        EXPECT_EQ(blas::dotStrided(LP, X.data(), S, Y.data(), 4 - S, N),
+                  WantDot)
+            << "N=" << N << " stride " << S;
+        EXPECT_EQ(blas::sumStrided(LP, X.data(), S, N), WantSum)
+            << "N=" << N << " stride " << S;
+      }
+    }
+  }
 }
