@@ -8,7 +8,7 @@
 //  * no crash, no std::bad_alloc — overload degrades service, never the
 //    process;
 //  * every completed execution is bitwise-identical to the serial
-//    reference, degraded or not;
+//    reference, under pressure or not;
 //  * every shed request carries ResourceExhausted with a parseable
 //    retry-after hint;
 //  * when the budget is armed, the pressure responses really fired
@@ -21,7 +21,7 @@
 // resident: with enough clients the accounted usage is deterministically
 // above the hard watermark at the first submissions (they shed), and it
 // drains back below as shed clients destroy their sets, so later
-// submissions in the same round admit — cleanly or degraded. Exits
+// submissions in the same round admit. Exits
 // nonzero on any contract violation. Runs (vacuously unshed) with no
 // budget too.
 //
@@ -134,8 +134,8 @@ int main(int argc, char **argv) {
   CP.execute(Ref.Regions, RefOpts);
   const std::vector<double> Expected = Ref.output(Prob.A);
 
-  std::atomic<int64_t> Ok{0}, ShedSeen{0}, RejectedSeen{0}, Degraded{0},
-      Mismatch{0}, BadShedStatus{0}, Other{0};
+  std::atomic<int64_t> Ok{0}, ShedSeen{0}, RejectedSeen{0}, Mismatch{0},
+      BadShedStatus{0}, Other{0};
   RoundBarrier Gate(Clients);
   std::vector<std::thread> Threads;
   for (int C = 0; C < Clients; ++C)
@@ -154,8 +154,6 @@ int main(int argc, char **argv) {
         const Status &S = F.wait();
         if (S.ok()) {
           ++Ok;
-          if (S.message().find("pipelining off") != std::string::npos)
-            ++Degraded;
           if (Set.output(Prob.A) != Expected)
             ++Mismatch;
         } else if (S.code() == ErrorCode::ResourceExhausted) {
@@ -197,9 +195,8 @@ int main(int argc, char **argv) {
   ResourceGovernor::Stats G = ResourceGovernor::stats();
   std::printf("soak: clients=%d rounds=%d budget=%lld\n", Clients, Rounds,
               static_cast<long long>(G.BudgetBytes));
-  std::printf("  ok=%lld degraded=%lld shed=%lld rejected=%lld other=%lld\n",
+  std::printf("  ok=%lld shed=%lld rejected=%lld other=%lld\n",
               static_cast<long long>(Ok.load()),
-              static_cast<long long>(Degraded.load()),
               static_cast<long long>(ShedSeen.load()),
               static_cast<long long>(RejectedSeen.load()),
               static_cast<long long>(Other.load()));
@@ -210,11 +207,10 @@ int main(int argc, char **argv) {
               static_cast<long long>(Q.Rejected),
               static_cast<long long>(Q.Shed),
               static_cast<long long>(Q.BreakerOpen));
-  std::printf("  governor: used=%lld peak=%lld degraded=%lld shed=%lld "
+  std::printf("  governor: used=%lld peak=%lld shed=%lld "
               "cache_shrinks=%lld arena_bypasses=%lld\n",
               static_cast<long long>(G.UsedBytes),
               static_cast<long long>(G.PeakUsedBytes),
-              static_cast<long long>(G.DegradedAdmissions),
               static_cast<long long>(G.ShedRequests),
               static_cast<long long>(G.CacheShrinks),
               static_cast<long long>(G.ArenaCacheBypasses));
@@ -248,8 +244,7 @@ int main(int argc, char **argv) {
                          "rejected or shed — the soak did not overload\n");
     Failed = true;
   }
-  if (!ResourceGovernor::armed() &&
-      (Q.Shed != 0 || G.DegradedAdmissions != 0)) {
+  if (!ResourceGovernor::armed() && Q.Shed != 0) {
     std::fprintf(stderr, "FAIL: disarmed governor fired a pressure "
                          "response\n");
     Failed = true;

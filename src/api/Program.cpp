@@ -69,16 +69,8 @@ std::shared_ptr<CompiledProgram> Program::compile(const Machine &M) {
 
   std::string PKey = PlanCache::programKeyFor(Keys);
   if (std::shared_ptr<CompiledProgram> Cached =
-          PlanCache::global().findProgram(PKey)) {
-    // A cached program holding an explicitly poisoned member must not be
-    // served (mirror of the plan-side eviction in compileLocked).
-    bool Stale = false;
-    for (size_t I = 0; I < Cached->size(); ++I)
-      Stale |= Cached->member(I).poisoned();
-    if (!Stale)
-      return Cached;
-    PlanCache::global().invalidateProgram(PKey);
-  }
+          PlanCache::global().findProgram(PKey))
+    return Cached;
   auto Prog = std::make_shared<CompiledProgram>(std::move(CPs));
   PlanCache::global().putProgram(PKey, Prog);
   return Prog;

@@ -196,22 +196,14 @@ std::shared_ptr<CompiledPlan> Tensor::compileLocked(const Machine &M) {
   // eviction) always forces a true recompile below.
   if (!MemoKey.empty() && MemoMachine == M.str())
     if (std::shared_ptr<CompiledPlan> Cached =
-            PlanCache::global().find(MemoKey)) {
-      // A poisoned artifact (uncontained execution failure) must never be
-      // served again; evict and fall through to a true recompile.
-      if (!Cached->poisoned())
-        return Cached;
-      PlanCache::global().invalidate(MemoKey);
-    }
+            PlanCache::global().find(MemoKey))
+      return Cached;
   Plan P = lower(M);
   std::string Key = PlanCache::keyFor(P, LeafStrategy::Compiled);
   MemoMachine = M.str();
   MemoKey = Key;
-  if (std::shared_ptr<CompiledPlan> Cached = PlanCache::global().find(Key)) {
-    if (!Cached->poisoned())
-      return Cached;
-    PlanCache::global().invalidate(Key);
-  }
+  if (std::shared_ptr<CompiledPlan> Cached = PlanCache::global().find(Key))
+    return Cached;
   auto CP = std::make_shared<CompiledPlan>(std::move(P));
   PlanCache::global().put(Key, CP);
   return CP;
@@ -291,31 +283,16 @@ void Tensor::evaluate(const Machine &M) {
 }
 
 Status Tensor::tryEvaluate(const Machine &M) {
-  std::shared_ptr<CompiledPlan> CP;
+  // Execution failures are contained per-arena inside the artifact, so the
+  // cached artifact stays servable whatever the outcome.
   try {
     PreparedRun R = prepareRun(M, TraceMode::Off);
-    CP = R.CP;
     ExecFuture F = R.CP->submit(R.Regions, R.Opts,
                                 AdmissionQueue::Dispatch::Deferred, R.CP,
                                 R.Hold);
-    Status S = F.wait();
-    // Execution failures are contained per-arena; only an explicitly
-    // poisoned artifact is unusable, and it must not stay in the
-    // process-wide cache where the next compile() would find it.
-    if (!S.ok() && CP->poisoned()) {
-      std::lock_guard<std::mutex> Lock(apiMutex());
-      if (!MemoKey.empty())
-        PlanCache::global().invalidate(MemoKey);
-    }
-    return S;
+    return F.wait();
   } catch (...) {
-    Status S = statusFromCurrentException();
-    if (CP && CP->poisoned()) {
-      std::lock_guard<std::mutex> Lock(apiMutex());
-      if (!MemoKey.empty())
-        PlanCache::global().invalidate(MemoKey);
-    }
-    return S;
+    return statusFromCurrentException();
   }
 }
 

@@ -144,10 +144,8 @@ public:
   void evaluate(const Machine &M);
 
   /// Non-throwing evaluate. A failed execution is contained inside its
-  /// arena (CompiledPlan's failure contract) — the artifact stays usable;
-  /// if the artifact was explicitly poisoned, its PlanCache entry is
-  /// evicted here so the next compile()/evaluate() recompiles instead of
-  /// serving the dead artifact. Thread-safe like evaluate().
+  /// arena (CompiledPlan's failure contract) — the cached artifact stays
+  /// usable. Thread-safe like evaluate().
   Status tryEvaluate(const Machine &M);
 
   /// Asynchronous evaluate: admits the execution to the cached artifact's
@@ -167,8 +165,7 @@ public:
   /// a deadline set via execOptions().Cancel resolves the future
   /// DeadlineExceeded — without executing if it expires while the request
   /// is still queued. Under memory pressure (Executor::setMemoryBudget /
-  /// DISTAL_MEM_BUDGET) the admission may be degraded to Pipeline::Off
-  /// (output bytes unaffected; noted on the Status), shed with
+  /// DISTAL_MEM_BUDGET) the admission may be shed with
   /// ResourceExhausted carrying a retry-after hint, or refused
   /// FailedPrecondition by the artifact's circuit breaker — see
   /// support/ResourceGovernor.h. Thread-safe like evaluate().
@@ -200,11 +197,9 @@ public:
                               const Machine &M);
 
   /// Execute-time options applied by evaluate()/evaluateWithTrace()/
-  /// evaluateUncached(): threading, the task/leaf split, the pipeline
-  /// mode (Pipeline::DoubleBuffer by default — the next step's gathers
-  /// prefetch behind the current leaf), zero-copy alias views (on by
-  /// default — home-resident gathers bind leaves directly to Region
-  /// storage), and the cancellation/deadline token (Cancel; see
+  /// evaluateUncached(): threading, the task/leaf split, zero-copy alias
+  /// views (on by default — home-resident gathers bind leaves directly to
+  /// Region storage), and the cancellation/deadline token (Cancel; see
   /// CancelToken — a tripped token stops the evaluation at its next
   /// cancellation point with Cancelled/DeadlineExceeded, contained like
   /// any other failure, and a clean re-evaluate stays bitwise-identical).

@@ -58,7 +58,7 @@ std::vector<StepComm> Plan::stepComms() const {
   std::vector<StepComm> Comms;
   for (int I = NumDist; I < LeafBegin; ++I)
     for (const TensorVar &T : Nest.Loops[I].Communicate)
-      Comms.push_back(StepComm{T, I, Nest.Prov.isRotationResult(Nest.Loops[I].Var)});
+      Comms.push_back(StepComm{T, I});
   return Comms;
 }
 

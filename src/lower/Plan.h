@@ -26,13 +26,6 @@ namespace distal {
 struct StepComm {
   TensorVar Tensor;
   int LoopIdx;
-  /// The communication loop's variable is a rotation result: consecutive
-  /// steps shift each fetched block between neighbouring processors, so a
-  /// step's rectangle may be relay-fed from the holder of the previous
-  /// step. Non-rotated step comms always fetch from the home distribution
-  /// and are therefore freely prefetchable one step ahead; rotated ones
-  /// need the relay-source dependency the prefetch schedule records.
-  bool Rotated = false;
 };
 
 /// A lowered distributed program.

@@ -18,21 +18,14 @@
 // never oversubscribe the machine (and at budget 1 an execution runs fully
 // inline on its client thread — N clients, N truly parallel walks).
 //
-// Two execution orders produce those identical bytes:
-//
-//  * Pipeline::Off — the bulk-synchronous order: all tasks complete step
-//    S's gathers and leaf before any task starts step S+1.
-//  * Pipeline::DoubleBuffer — per-task step progression: each task runs
-//    its own (wait -> flip -> prefetch -> leaf) chain with no global step
-//    barrier. While step S's leaf computes, the prefetchable gathers of
-//    step S+1 stream into each instance's *back* buffer as detached jobs
-//    on the pool's communication lane, then flip() promotes them. This is
-//    legal because prefetch gathers only read input Regions, which are
-//    immutable for the whole execution; systolic relays additionally gate
-//    on the relay-source task's published step progress, mirroring the
-//    availability constraint of a real distributed run. Gathers the
-//    schedule excluded (or whose dependency is not yet met) fall back to
-//    the synchronous path on arrival — same bytes, no overlap.
+// Step order: after the launch phase, each task runs its own chain over
+// the steps — gathers, then leaf — with no global step barrier between
+// tasks. That is legal because a task's step gathers only read input
+// Regions, which are immutable for the whole execution, and each task
+// accumulates into its private (or exclusively aliased) output instance;
+// the only cross-task merge is the task-ordered writeback at the end.
+// There is no prefetch: in shared memory a copy issued a step early has no
+// wire to hide behind, so it only competes with the leaves for bandwidth.
 //
 //===----------------------------------------------------------------------===//
 
@@ -63,28 +56,6 @@ CompiledPlan::CompiledPlan(Plan Pl, const Mapper &Map, LeafStrategy Strategy)
 
 CompiledPlan::~CompiledPlan() = default;
 
-CompiledPlan::PrefetchStats CompiledPlan::prefetchStats() const {
-  PrefetchStats S;
-  for (const CompiledTask &CT : Tasks)
-    for (size_t Step = 0; Step < CT.PrefetchDeps.size(); ++Step)
-      for (size_t G = 0; G < CT.PrefetchDeps[Step].size(); ++G) {
-        // A view-elided gather is not "prefetchable" — there is no copy to
-        // hide — whatever its dependency entry says.
-        if (CT.StepGathers[Step][G].Class == GatherClass::Aliasable) {
-          ++S.Elided;
-          continue;
-        }
-        int32_t Dep = CT.PrefetchDeps[Step][G];
-        if (Dep == CompiledTask::PrefetchFree)
-          ++S.Free;
-        else if (Dep >= 0)
-          ++S.Dependent;
-        else
-          ++S.Excluded;
-      }
-  return S;
-}
-
 CompiledPlan::DataMovementStats CompiledPlan::dataMovementStats() const {
   DataMovementStats D;
   for (const CompiledTask &CT : Tasks) {
@@ -113,11 +84,6 @@ int64_t CompiledPlan::zeroSkipTaskCount() const {
   return N;
 }
 
-CompiledPlan::OverlapStats CompiledPlan::lastOverlapStats() const {
-  std::lock_guard<std::mutex> Lock(StateMutex);
-  return LastOverlap;
-}
-
 void CompiledPlan::ensureExecState(ExecArena &A) const {
   if (!A.Execs.empty() || Tasks.empty())
     return;
@@ -144,50 +110,9 @@ void CompiledPlan::ensureExecState(ExecArena &A) const {
       Sum += std::max<int64_t>(Vol, 1) * 8;
     }
   }
+  A.Progress = std::make_unique<std::atomic<int32_t>[]>(Tasks.size());
+  Sum += static_cast<int64_t>(Tasks.size() * sizeof(std::atomic<int32_t>));
   A.MemCharge.add(Sum);
-}
-
-void CompiledPlan::ensurePipelineState(ExecArena &A) const {
-  if (A.PipeReady.load(std::memory_order_acquire))
-    return;
-  // Back buffers for every tensor the schedule may prefetch, sized like
-  // the fronts so steady-state flips never reallocate; plus the per-task
-  // progress slots the relay dependencies read. The back-buffer bytes are
-  // charged against the governor here (the fronts were charged by
-  // ensureExecState).
-  int64_t Sum = 0;
-  for (size_t I = 0; I < Tasks.size(); ++I) {
-    const CompiledTask &CT = Tasks[I];
-    std::map<TensorVar, int64_t> MaxVol;
-    for (size_t S = 0; S < CT.StepGathers.size(); ++S)
-      for (size_t G = 0; G < CT.StepGathers[S].size(); ++G)
-        if (CT.PrefetchDeps[S][G] != CompiledTask::NoPrefetch) {
-          const CompiledGather &CG = CT.StepGathers[S][G];
-          MaxVol[CG.Tensor] = std::max(MaxVol[CG.Tensor], CG.R.volume());
-        }
-    for (const auto &[TV, Vol] : MaxVol) {
-      A.Execs[I].OwnedInsts[TV].back().reserve(Vol);
-      Sum += std::max<int64_t>(Vol, 1) * 8;
-    }
-  }
-  Sum += static_cast<int64_t>(std::max<size_t>(Tasks.size(), 1)) *
-         sizeof(std::atomic<int32_t>);
-  A.MemCharge.add(Sum);
-  A.Progress = std::make_unique<std::atomic<int32_t>[]>(
-      std::max<size_t>(Tasks.size(), 1));
-  // Release store pairs with stuckReport's acquire load: once PipeReady is
-  // observed true, the Progress array pointer above is safely readable.
-  A.PipeReady.store(true, std::memory_order_release);
-}
-
-bool CompiledPlan::poisoned() const {
-  std::lock_guard<std::mutex> Lock(StateMutex);
-  return Poisoned;
-}
-
-void CompiledPlan::poisonForTesting() {
-  std::lock_guard<std::mutex> Lock(StateMutex);
-  Poisoned = true;
 }
 
 std::unique_ptr<ExecArena> CompiledPlan::acquireArena() {
@@ -207,8 +132,7 @@ std::unique_ptr<ExecArena> CompiledPlan::acquireArena() {
 void CompiledPlan::releaseArena(std::unique_ptr<ExecArena> A) {
   // Under memory pressure the pool stops caching: the idle arena's buffers
   // are freed immediately (its Charge releases their bytes), draining
-  // usage instead of parking it. Clean arenas hold no detached work, so
-  // destruction is safe.
+  // usage instead of parking it.
   if (ResourceGovernor::pressure() != ResourceGovernor::Pressure::None) {
     ResourceGovernor::noteArenaCacheBypass();
     return;
@@ -228,7 +152,7 @@ CompiledPlan::ArenaStats CompiledPlan::arenaStats() const {
 
 int64_t CompiledPlan::footprintBytes() const {
   // An estimate of the artifact's resident metadata: the dominant terms
-  // are the per-task gather programs and the prefetch schedule. Exact
+  // are the per-task gather programs. Exact
   // malloc accounting is not the goal — the PlanCache only needs a
   // consistent measure to charge cached artifacts with.
   int64_t Sum = static_cast<int64_t>(sizeof(*this));
@@ -238,8 +162,6 @@ int64_t CompiledPlan::footprintBytes() const {
                                 sizeof(CompiledGather));
     for (const auto &Step : CT.StepGathers)
       Sum += static_cast<int64_t>(Step.size() * sizeof(CompiledGather));
-    for (const auto &Step : CT.PrefetchDeps)
-      Sum += static_cast<int64_t>(Step.size() * sizeof(int32_t));
     Sum += static_cast<int64_t>(CT.RunLeaf.size());
   }
   return Sum;
@@ -253,7 +175,9 @@ std::string CompiledPlan::stuckReport() const {
   std::lock_guard<std::mutex> Lock(StateMutex);
   std::ostringstream OS;
   for (const ExecArena *A : InFlight) {
-    int32_t Phase = A->HbPhase.load(std::memory_order_relaxed);
+    // Acquire pairs with the phase-2 release store: once the step loop is
+    // observed, the Progress array is allocated and reset.
+    int32_t Phase = A->HbPhase.load(std::memory_order_acquire);
     int64_t AgeMs =
         (NowNs - A->HbStartNs.load(std::memory_order_relaxed)) / 1000000;
     OS << "execution (age " << AgeMs << " ms): ";
@@ -262,30 +186,23 @@ std::string CompiledPlan::stuckReport() const {
       OS << "launch gathers";
       break;
     case 2: {
-      int32_t Step = A->HbStep.load(std::memory_order_relaxed);
-      if (Step == -2 && !Tasks.empty() &&
-          A->PipeReady.load(std::memory_order_acquire) && A->Progress) {
-        // Pipelined order: per-task watermarks. Min identifies the parked
-        // task(s); max shows how far the fastest chain ran ahead.
-        int32_t Min = INT32_MAX, Max = INT32_MIN;
-        size_t AtMin = 0;
-        for (size_t I = 0; I < Tasks.size(); ++I) {
-          int32_t S = A->Progress[I].load(std::memory_order_relaxed);
-          if (S < Min) {
-            Min = S;
-            AtMin = 1;
-          } else if (S == Min) {
-            ++AtMin;
-          }
-          Max = std::max(Max, S);
+      // Per-task watermarks: min identifies the parked task(s); max shows
+      // how far the fastest chain ran ahead.
+      int32_t Min = INT32_MAX, Max = INT32_MIN;
+      size_t AtMin = 0;
+      for (size_t I = 0; I < Tasks.size(); ++I) {
+        int32_t S = A->Progress[I].load(std::memory_order_relaxed);
+        if (S < Min) {
+          Min = S;
+          AtMin = 1;
+        } else if (S == Min) {
+          ++AtMin;
         }
-        OS << "step loop (pipelined), task step watermark min " << Min
-           << " max " << Max << " of " << StepVals.size() << ", " << AtMin
-           << " task(s) parked at min";
-      } else {
-        OS << "step loop, completed step " << Step << " of "
-           << StepVals.size();
+        Max = std::max(Max, S);
       }
+      OS << "step loop, task step watermark min " << Min << " max " << Max
+         << " of " << StepVals.size() << ", " << AtMin
+         << " task(s) parked at min";
       break;
     }
     case 3:
@@ -318,13 +235,6 @@ Trace CompiledPlan::execute(const std::map<TensorVar, Region *> &Regions,
 
 Status CompiledPlan::tryExecute(const std::map<TensorVar, Region *> &Regions,
                                 Trace &Out, const ExecOptions &Opts) {
-  {
-    std::lock_guard<std::mutex> Lock(StateMutex);
-    if (Poisoned)
-      return Status(ErrorCode::FailedPrecondition,
-                    "CompiledPlan is poisoned; recompile the plan (and evict "
-                    "any PlanCache entry holding it)");
-  }
   std::unique_ptr<ExecArena> A = acquireArena();
   // Census in, budget derived: while this slot is held, sibling executions
   // see one more active execution and size their thread budgets down.
@@ -345,41 +255,21 @@ Status CompiledPlan::tryExecute(const std::map<TensorVar, Region *> &Regions,
   try {
     Out = executeBody(*A, Slot, Regions, Opts);
     Unregister();
-    {
-      std::lock_guard<std::mutex> Lock(StateMutex);
-      LastOverlap = OverlapStats{};
-      LastOverlap.PrefetchSeconds =
-          static_cast<double>(A->PrefetchNs.load()) * 1e-9;
-      LastOverlap.SyncSeconds = static_cast<double>(A->SyncNs.load()) * 1e-9;
-      LastOverlap.WaitSeconds = static_cast<double>(A->WaitNs.load()) * 1e-9;
-    }
     releaseArena(std::move(A));
     return Status();
   } catch (...) {
     Unregister();
     Status S = statusFromCurrentException();
-    // Containment, per-arena: (1) drain the arena's in-flight prefetch
-    // tickets — their jobs reference arena state (back buffers, overlap
-    // counters); (2) discard the arena instead of returning it to the
-    // pool, so no partially-mutated buffer survives into a later run. The
-    // artifact and sibling executions are untouched either way; only a
-    // failed drain costs more than one arena (quarantine).
-    if (A->quiescePending()) {
-      {
-        std::lock_guard<std::mutex> Lock(StateMutex);
-        ++Arenas.Discarded;
-      }
-      A.reset();
-      S.appendNote("failed execution's arena discarded; the artifact "
-                   "remains reusable");
-    } else {
+    // Containment, per-arena: discard the arena instead of returning it to
+    // the pool, so no partially-mutated buffer survives into a later run.
+    // The artifact and sibling executions are untouched.
+    {
       std::lock_guard<std::mutex> Lock(StateMutex);
-      ++Arenas.Condemned;
-      CondemnedArenas.push_back(std::move(A));
-      S.appendNote("in-flight prefetch work could not be quiesced; the "
-                   "failed arena is quarantined, the artifact remains "
-                   "reusable");
+      ++Arenas.Discarded;
     }
+    A.reset();
+    S.appendNote("failed execution's arena discarded; the artifact "
+                 "remains reusable");
     return S;
   }
 }
@@ -393,14 +283,13 @@ Trace CompiledPlan::executeBody(ExecArena &A, const ExecutionSlot &Slot,
       reportFatalError("no region provided for tensor '" + TV.name() + "'");
   // Cancellation gate before any side effect, then heartbeat start. The
   // token (invalid: a pointer test; quiet: one relaxed load) is re-polled
-  // at every step boundary, prefetch issue, and chunk claim below.
+  // at every per-task step boundary and chunk claim below.
   Opts.Cancel.check();
   const CancelToken *Tok = Opts.Cancel.valid() ? &Opts.Cancel : nullptr;
   A.HbStartNs.store(std::chrono::duration_cast<std::chrono::nanoseconds>(
                         std::chrono::steady_clock::now().time_since_epoch())
                         .count(),
                     std::memory_order_relaxed);
-  A.HbStep.store(-1, std::memory_order_relaxed);
   A.HbPhase.store(1, std::memory_order_relaxed);
   Regions.at(Out)->zero();
 
@@ -433,20 +322,15 @@ Trace CompiledPlan::executeBody(ExecArena &A, const ExecutionSlot &Slot,
   // Divide the context's threads between task fan-out and leaf fan-out.
   // Leaf kernels receive the pool plus a ways budget and fan out as
   // sub-range jobs on the *same* pool, so task- and leaf-level work share
-  // one set of N threads with no oversubscription. The pipelined path adds
-  // the communication lane: prefetch gathers are detached priority jobs on
-  // that same pool, each bounded to the lane's ways budget.
+  // one set of N threads with no oversubscription.
   ExecContext::Split Split;
   ThreadPool *Pool = nullptr;
   LeafParallelism LeafLP;
-  int CommWays = 1;
   int64_t NumTasks = static_cast<int64_t>(Tasks.size());
   if (Ctx && Threads > 1) {
-    ExecContext::Lanes Lanes = Ctx->lanesFor(NumTasks);
     Split = Opts.ForceTaskWays > 0
                 ? ExecContext::Split{Opts.ForceTaskWays, Opts.ForceLeafWays}
-                : Lanes.Compute;
-    CommWays = Lanes.CommWays;
+                : Ctx->splitFor(NumTasks);
     if (Split.TaskWays > 1 || Split.LeafWays > 1)
       Pool = Ctx->pool();
     if (Pool && Split.LeafWays > 1)
@@ -466,52 +350,29 @@ Trace CompiledPlan::executeBody(ExecArena &A, const ExecutionSlot &Slot,
         Fn(I);
   };
 
-  bool Pipelined = Opts.Pipe == Pipeline::DoubleBuffer &&
-                   Strategy == LeafStrategy::Compiled && Pool != nullptr &&
-                   !StepVals.empty();
   bool OverwriteLeaves = Strategy == LeafStrategy::Compiled;
   // Zero-copy views only for the compiled strategy: the interpreted path
   // is the seed reference and always copies.
   bool ViewsOn = Opts.ZeroCopyViews && Strategy == LeafStrategy::Compiled;
 
   ensureExecState(A);
-  if (Pipelined)
-    ensurePipelineState(A);
 
-  using Clock = std::chrono::steady_clock;
-  A.PrefetchNs.store(0, std::memory_order_relaxed);
-  A.SyncNs.store(0, std::memory_order_relaxed);
-  A.WaitNs.store(0, std::memory_order_relaxed);
-  auto nsSince = [](Clock::time_point T0) {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                                T0)
-        .count();
-  };
-  // Bind one recorded input gather into its front buffer — the synchronous
-  // (critical-path) route shared by the bulk-synchronous order and the
-  // pipelined fallbacks, so the binding rules can never diverge between
-  // the two orders. Aliasable gathers bind a zero-copy view of Region
-  // storage (no bytes move, no time counted); the rest reset + replay the
-  // precomputed coalesced run program. \p Counter, when given, accumulates
-  // a copy's wall time.
-  auto syncGather = [&](ExecArena::TaskExec &TE, const CompiledGather &G,
-                        std::atomic<int64_t> *Counter) {
+  // Bind one recorded input gather into its instance. Aliasable gathers
+  // bind a zero-copy view of Region storage (no bytes move); the rest
+  // reset + replay the precomputed coalesced run program.
+  auto syncGather = [&](ExecArena::TaskExec &TE, const CompiledGather &G) {
     FaultInjector::inject(FaultInjector::Site::Gather, &A.Fault);
     Instance &Inst = TE.OwnedInsts[G.Tensor];
     if (ViewsOn && G.Class == GatherClass::Aliasable) {
       Regions.at(G.Tensor)->bindView(Inst, G.R);
-      TE.Insts[G.Tensor] = &Inst;
-      return;
+    } else {
+      Inst.reset(G.R);
+      if (Strategy == LeafStrategy::Compiled)
+        Regions.at(G.Tensor)->gatherCompiled(Inst, G.Runs, LeafLP);
+      else
+        Regions.at(G.Tensor)->gatherIntoPointwise(Inst);
     }
-    Clock::time_point T0 = Counter ? Clock::now() : Clock::time_point{};
-    Inst.reset(G.R);
-    if (Strategy == LeafStrategy::Compiled)
-      Regions.at(G.Tensor)->gatherCompiled(Inst, G.Runs, LeafLP);
-    else
-      Regions.at(G.Tensor)->gatherIntoPointwise(Inst);
     TE.Insts[G.Tensor] = &Inst;
-    if (Counter)
-      Counter->fetch_add(nsSince(T0), std::memory_order_relaxed);
   };
 
   // Launch phase: task-level instances (private accumulator for the
@@ -526,7 +387,7 @@ Trace CompiledPlan::executeBody(ExecArena &A, const ExecutionSlot &Slot,
     ExecArena::TaskExec &TE = A.Execs[static_cast<size_t>(I)];
     for (const CompiledGather &G : CT.LaunchGathers) {
       if (!G.IsOutput) {
-        syncGather(TE, G, nullptr);
+        syncGather(TE, G);
         continue;
       }
       Instance &Inst = TE.OwnedInsts[G.Tensor];
@@ -541,154 +402,35 @@ Trace CompiledPlan::executeBody(ExecArena &A, const ExecutionSlot &Slot,
     }
   });
 
-  // Steps: per-task fetches and leaf kernels, replayed from the compiled
-  // program (rectangles, residency dedup, leaf activation, and the
-  // prefetch schedule were all decided at compile time).
-  if (!Pipelined) {
-    A.HbPhase.store(2, std::memory_order_relaxed);
+  // Steps: each task runs its own chain of fetches and leaf kernels,
+  // replayed from the compiled program (rectangles, residency dedup, and
+  // leaf activation were all decided at compile time). The release store
+  // publishes the reset Progress slots to stuckReport.
+  for (int64_t I = 0; I < NumTasks; ++I)
+    A.Progress[static_cast<size_t>(I)].store(-1, std::memory_order_relaxed);
+  A.HbPhase.store(2, std::memory_order_release);
+  parallelTasks([&](int64_t I) {
+    const CompiledTask &CT = Tasks[static_cast<size_t>(I)];
+    ExecArena::TaskExec &TE = A.Execs[static_cast<size_t>(I)];
     for (size_t S = 0; S < StepVals.size(); ++S) {
-      // Step boundary: the bulk-synchronous order's cancellation point.
+      // Per-task step boundary: the step loop's cancellation point.
       Opts.Cancel.check();
-      parallelTasks([&](int64_t I) {
-        const CompiledTask &CT = Tasks[static_cast<size_t>(I)];
-        ExecArena::TaskExec &TE = A.Execs[static_cast<size_t>(I)];
-        for (const auto &[V, C] : StepVals[S])
-          TE.FixedVals[V] = C;
-        for (const CompiledGather &G : CT.StepGathers[S])
-          syncGather(TE, G, nullptr);
-        if (CT.RunLeaf[S]) {
-          FaultInjector::inject(FaultInjector::Site::Leaf, &A.Fault);
-          if (Strategy == LeafStrategy::Compiled)
-            leaf::runCompiledLeaf(TE.Leaf, P, TE.FixedVals, TE.Insts, RhsTape,
-                                  LeafLP, OverwriteLeaves && CT.SkipOutputZero);
-          else
-            leaf::runInterpretedLeaf(P, TE.FixedVals, TE.Insts);
-        }
-      });
-      // Heartbeat: step S is fully done across all tasks.
-      A.HbStep.store(static_cast<int32_t>(S), std::memory_order_relaxed);
-    }
-  } else {
-    size_t NumSteps = StepVals.size();
-    for (int64_t I = 0; I < NumTasks; ++I)
-      A.Progress[static_cast<size_t>(I)].store(-1, std::memory_order_relaxed);
-    // Pipelined heartbeat: per-task progress lives in A.Progress; HbStep's
-    // -2 sentinel tells stuckReport to read it.
-    A.HbStep.store(-2, std::memory_order_relaxed);
-    A.HbPhase.store(2, std::memory_order_relaxed);
-    LeafParallelism CommLP =
-        CommWays > 1 ? LeafParallelism{Pool, CommWays} : LeafParallelism{};
-
-    parallelTasks([&](int64_t TaskIdx) {
-      const CompiledTask &CT = Tasks[static_cast<size_t>(TaskIdx)];
-      ExecArena::TaskExec &TE = A.Execs[static_cast<size_t>(TaskIdx)];
-      int64_t PendingStep = -1;
-
-      // Issue the prefetchable gathers of step S into back buffers as
-      // detached jobs; the rest wait for the synchronous path on arrival.
-      auto issuePrefetch = [&](size_t S) {
-        // Ticket-issue boundary: never launch new detached work for a
-        // cancelled execution (the throw keeps already-issued tickets
-        // quiescable through the normal containment path).
-        Opts.Cancel.check();
-        const std::vector<CompiledGather> &Gs = CT.StepGathers[S];
-        TE.PendingIssued.assign(Gs.size(), 0);
-        for (size_t Gi = 0; Gi < Gs.size(); ++Gi) {
-          int32_t Dep = CT.PrefetchDeps[S][Gi];
-          if (Dep == CompiledTask::NoPrefetch)
-            continue;
-          // View-elided gathers are not prefetched: there is no copy to
-          // hide, binding at arrival is free. And a front bound as a view
-          // must never flip (the promotion would clobber the alias), so a
-          // tensor viewed *this* step — or viewed by ANY aliasable gather
-          // of the arrival step, which replays in recorded order and may
-          // bind the front as a view before a later same-tensor flip —
-          // forces the fetch onto the synchronous arrival path.
-          // Instance::flip asserts the invariant.
-          if (ViewsOn) {
-            bool TensorViewed = TE.OwnedInsts[Gs[Gi].Tensor].isView();
-            for (size_t Other = 0; Other < Gs.size() && !TensorViewed;
-                 ++Other)
-              TensorViewed = Gs[Other].Class == GatherClass::Aliasable &&
-                             Gs[Other].Tensor == Gs[Gi].Tensor;
-            if (TensorViewed)
-              continue;
-          }
-          // One prefetch per tensor per step: a second gather of the same
-          // tensor (a tensor communicated at two step loops) would race
-          // on the single back buffer; it stays on the synchronous path,
-          // which also re-binds the front in the recorded order.
-          bool Dup = false;
-          for (size_t Prev = 0; Prev < Gi && !Dup; ++Prev)
-            Dup = TE.PendingIssued[Prev] && Gs[Prev].Tensor == Gs[Gi].Tensor;
-          if (Dup)
-            continue;
-          // A relay-fed block is only available once its source task has
-          // finished the previous step's gathers. Not yet there: skip the
-          // prefetch (never block the chain) and gather synchronously.
-          if (Dep >= 0 &&
-              A.Progress[static_cast<size_t>(Dep)].load(
-                  std::memory_order_acquire) < static_cast<int64_t>(S) - 1)
-            continue;
-          const CompiledGather &G = Gs[Gi];
-          Instance &B = TE.OwnedInsts[G.Tensor].back();
-          B.reset(G.R);
-          const Region *Src = Regions.at(G.Tensor);
-          const GatherRuns *Runs = &G.Runs; // Artifact-lifetime storage.
-          // The job captures the arena (counters, fault scope, back
-          // buffer), never the execute frame: containment quiesces these
-          // tickets after this frame is gone, and the arena outlives them.
-          TE.Pending.push_back(Pool->submitAsync([&A, &B, Runs, Src, CommLP,
-                                                  nsSince] {
-            FaultInjector::inject(FaultInjector::Site::Prefetch, &A.Fault);
-            Clock::time_point T0 = Clock::now();
-            Src->gatherCompiled(B, *Runs, CommLP);
-            A.PrefetchNs.fetch_add(nsSince(T0), std::memory_order_relaxed);
-          }));
-          TE.PendingIssued[Gi] = 1;
-        }
-        PendingStep = static_cast<int64_t>(S);
-      };
-
-      for (size_t S = 0; S < NumSteps; ++S) {
-        // Per-task step boundary: the pipelined order's cancellation point.
-        Opts.Cancel.check();
-        for (const auto &[V, C] : StepVals[S])
-          TE.FixedVals[V] = C;
-        const std::vector<CompiledGather> &Gs = CT.StepGathers[S];
-        if (PendingStep == static_cast<int64_t>(S)) {
-          Clock::time_point W0 = Clock::now();
-          for (ThreadPool::Ticket &T : TE.Pending)
-            T.wait();
-          TE.Pending.clear();
-          A.WaitNs.fetch_add(nsSince(W0), std::memory_order_relaxed);
-          for (size_t Gi = 0; Gi < Gs.size(); ++Gi) {
-            if (TE.PendingIssued[Gi]) {
-              Instance &Inst = TE.OwnedInsts[Gs[Gi].Tensor];
-              Inst.flip();
-              TE.Insts[Gs[Gi].Tensor] = &Inst;
-            } else {
-              syncGather(TE, Gs[Gi], &A.SyncNs);
-            }
-          }
-        } else {
-          for (const CompiledGather &G : Gs)
-            syncGather(TE, G, &A.SyncNs);
-        }
-        // Publish: this task's step-S data is materialised. Relay-
-        // dependent prefetches of neighbouring chains gate on this.
-        A.Progress[static_cast<size_t>(TaskIdx)].store(
-            static_cast<int32_t>(S), std::memory_order_release);
-        if (S + 1 < NumSteps)
-          issuePrefetch(S + 1);
-        if (CT.RunLeaf[S]) {
-          FaultInjector::inject(FaultInjector::Site::Leaf, &A.Fault);
+      for (const auto &[V, C] : StepVals[S])
+        TE.FixedVals[V] = C;
+      for (const CompiledGather &G : CT.StepGathers[S])
+        syncGather(TE, G);
+      if (CT.RunLeaf[S]) {
+        FaultInjector::inject(FaultInjector::Site::Leaf, &A.Fault);
+        if (Strategy == LeafStrategy::Compiled)
           leaf::runCompiledLeaf(TE.Leaf, P, TE.FixedVals, TE.Insts, RhsTape,
                                 LeafLP, OverwriteLeaves && CT.SkipOutputZero);
-        }
+        else
+          leaf::runInterpretedLeaf(P, TE.FixedVals, TE.Insts);
       }
-    });
-  }
+      A.Progress[static_cast<size_t>(I)].store(static_cast<int32_t>(S),
+                                               std::memory_order_relaxed);
+    }
+  });
 
   // Writeback / reduction of every task's output instance to its owners.
   // A viewed accumulator already wrote the home region in place — its

@@ -66,20 +66,7 @@ enum class LeafStrategy {
 /// discard it.
 enum class TraceMode { Full, Off };
 
-/// How an execution overlaps communication with computation.
-enum class Pipeline {
-  /// Bulk-synchronous: every task completes its step-S gathers before its
-  /// leaf runs, with a global barrier between steps (the seed order).
-  Off,
-  /// Pipelined: tasks progress through their own (wait -> flip -> prefetch
-  /// -> leaf) chains with no global step barrier, and each prefetchable
-  /// gather of step S+1 streams into the instance's back buffer on the
-  /// pool's communication lane while step S's leaf computes, then flips.
-  /// Output data is bitwise-identical to Off.
-  DoubleBuffer,
-};
-
-/// Execute-time knobs (threading, pipelining, and trace reporting). None of
+/// Execute-time knobs (threading, views, and trace reporting). None of
 /// these affect compilation — they are deliberately absent from the
 /// PlanCache key — so one artifact serves every configuration; traces and
 /// output data are bitwise-identical across all of them.
@@ -99,10 +86,6 @@ struct ExecOptions {
   /// (0 = adaptive).
   int ForceTaskWays = 0, ForceLeafWays = 0;
   TraceMode Mode = TraceMode::Full;
-  /// On by default for the compiled-leaf strategy; forced Off for the
-  /// interpreted strategy and for sequential (1-thread) runs, where there
-  /// is nothing to overlap with.
-  Pipeline Pipe = Pipeline::DoubleBuffer;
   /// Zero-copy alias views (compiled-leaf strategy only). On, gathers the
   /// compile phase proved home-resident bind the leaf directly to Region
   /// storage — no bytes move, and an aliased output accumulator elides its
@@ -112,10 +95,10 @@ struct ExecOptions {
   /// costs no recompile (the classification lives in the artifact).
   bool ZeroCopyViews = true;
   /// Cooperative cancellation / deadline for this execution. Polled at
-  /// step boundaries, per-statement (program) boundaries, prefetch-ticket
-  /// issue, and thread-pool chunk claims; a trip unwinds through the
-  /// per-arena containment path (quiesce, discard/condemn), so the
-  /// artifact stays reusable and a clean re-execute is bitwise-identical.
+  /// per-task step boundaries, program node boundaries, and thread-pool
+  /// chunk claims; a trip unwinds through the per-arena containment path
+  /// (the arena is discarded), so the artifact stays reusable and a clean
+  /// re-execute is bitwise-identical.
   /// Invalid (the default) costs a pointer test per poll; valid and quiet,
   /// one relaxed load. submit() installs a fresh token here when the
   /// caller provides none, so ExecFuture::cancel() always has teeth.
@@ -155,17 +138,6 @@ struct CompiledGather {
 /// from an inner sequential iteration is not re-fetched), exactly mirroring
 /// the message skeleton.
 struct CompiledTask {
-  /// Prefetch-schedule entry for one step gather (see PrefetchDeps).
-  enum : int32_t {
-    /// Freely prefetchable one step ahead: the gather reads an input
-    /// tensor's home region, which is immutable for the whole execution.
-    PrefetchFree = -1,
-    /// Never prefetched (conservative): the tensor is the output, or the
-    /// skeleton routed the fetch through a systolic relay whose source
-    /// task could not be identified uniquely.
-    NoPrefetch = -2,
-  };
-
   Point TP, ProcPt;
   int64_t ProcId = 0;
   /// Values of the distributed loop variables at this task point.
@@ -174,13 +146,6 @@ struct CompiledTask {
   std::vector<CompiledGather> LaunchGathers;
   std::vector<std::vector<CompiledGather>> StepGathers; ///< [step]
   std::vector<uint8_t> RunLeaf; ///< [step] leaf has iterations to run.
-  /// Compile-time prefetch schedule, aligned with StepGathers: entry
-  /// [S][G] is PrefetchFree, NoPrefetch, or (>= 0) the index of the task
-  /// whose step-(S-1) gathers must have completed before this gather may
-  /// be issued during step S-1 — the relay source of a rotated (systolic)
-  /// step communication, which in the distributed model only holds the
-  /// block once its own fetch for the previous step is done.
-  std::vector<std::vector<int32_t>> PrefetchDeps; ///< [step][gather]
   /// Compile-time proof that the leaf fully overwrites the output
   /// accumulator (non-reduction assignment whose iteration points cover
   /// OutRect exactly once): the launch-phase Instance::zero() is skipped
@@ -192,31 +157,27 @@ struct CompiledTask {
 ///
 /// Thread safety: the artifact is reentrant. The compiled program is
 /// immutable after construction, and every execution carries its mutable
-/// state (instance buffers, leaf engines, prefetch tickets, progress
-/// slots, overlap counters, fault scope) in a per-execution ExecArena —
-/// pooled and reused under a small internal lock, bounded by
-/// setArenaCacheCap so the steady state allocates nothing. Any number of
-/// threads may call execute()/tryExecute()/submit() on one artifact
-/// concurrently; outputs are bitwise-identical to running the same calls
-/// serially. Concurrent executions *that share regions* should go through
+/// state (instance buffers, leaf engines, progress slots, fault scope) in
+/// a per-execution ExecArena — pooled and reused under a small internal
+/// lock, bounded by setArenaCacheCap so the steady state allocates
+/// nothing. Any number of threads may call execute()/tryExecute()/submit()
+/// on one artifact concurrently; outputs are bitwise-identical to running
+/// the same calls serially. Concurrent executions *that share regions* should go through
 /// submit() — it coalesces result-compatible requests onto one pass and
 /// serializes the rest — rather than direct execute() calls racing on one
 /// output region.
 ///
 /// Failure contract (tryExecute): when any step of an execution fails —
-/// a gather, a prefetch ticket, a leaf launch, a writeback stripe, or an
-/// allocation in Instance::reserve/reset — the failure is contained to
-/// that execution's arena: (1) the arena's in-flight prefetch tickets are
-/// quiesced (their exceptions are consumed; the primary error wins), then
-/// (2) the arena is discarded instead of returning to the pool, so no
-/// partially-mutated buffers can leak into a later run. The artifact and
-/// every sibling execution are untouched; a subsequent clean execute() is
+/// a gather, a leaf launch, a writeback stripe, or an allocation in
+/// Instance::reserve/reset — the failure is contained to that execution's
+/// arena: the walk runs only structured fan-outs, so nothing of it is
+/// still running once the error reaches tryExecute, and the arena is
+/// discarded instead of returning to the pool, so no partially-mutated
+/// buffers can leak into a later run. The artifact and every sibling
+/// execution are untouched; a subsequent clean execute() is
 /// bitwise-identical to one against a freshly compiled artifact. Input
 /// regions are never mutated by a failed execution; the output region may
-/// hold partial data but is re-zeroed by every execution. If the quiesce
-/// itself fails, only the failed arena is condemned — quarantined alive
-/// for the artifact's lifetime because detached jobs may still reference
-/// its buffers — and the artifact still remains reusable.
+/// hold partial data but is re-zeroed by every execution.
 class CompiledPlan {
 public:
   /// Compiles \p P for repeated execution: runs the full data-independent
@@ -234,10 +195,10 @@ public:
   /// The leaf strategy this artifact was compiled with.
   LeafStrategy strategy() const { return Strategy; }
 
-  /// The compiled per-task programs (placement, bounds, gather rectangles,
-  /// prefetch schedule) — immutable after construction. Exposed for
-  /// program-level linking (analyzeProgramLinks) and for tests that check
-  /// the compile-phase classification directly.
+  /// The compiled per-task programs (placement, bounds, gather rectangles)
+  /// — immutable after construction. Exposed for program-level linking
+  /// (analyzeProgramLinks) and for tests that check the compile-phase
+  /// classification directly.
   const std::vector<CompiledTask> &compiledTasks() const { return Tasks; }
   /// Number of sequential steps of the compiled program (the step-domain
   /// volume). Immutable after construction.
@@ -247,20 +208,6 @@ public:
   /// Executor::simulate returns, identical to what every execution
   /// observes. Thread-safe (immutable after construction).
   const Trace &trace() const { return Skeleton; }
-
-  /// Aggregate of the compile-time prefetch schedule over all tasks and
-  /// steps (how much of the gather program the pipelined executor may
-  /// hide). View-elided gathers are not prefetchable — there is no copy to
-  /// hide — so they are reported in their own bucket, keeping
-  /// overlapFraction() comparable to the Simulator's OverlapFactor.
-  /// Thread-safe (immutable after construction).
-  struct PrefetchStats {
-    int64_t Free = 0;      ///< Prefetchable with no cross-task dependency.
-    int64_t Dependent = 0; ///< Relay-fed, prefetchable behind a task dep.
-    int64_t Excluded = 0;  ///< Conservatively never prefetched.
-    int64_t Elided = 0;    ///< Home-resident: bound as a view, never copied.
-  };
-  PrefetchStats prefetchStats() const;
 
   /// Compile-time volume of the data-movement program per execution,
   /// assuming views are enabled (the default): what the copy engine moves
@@ -284,26 +231,6 @@ public:
   /// Thread-safe (immutable after construction).
   int64_t zeroSkipTaskCount() const;
 
-  /// Measured communication/computation overlap of the most recently
-  /// *completed* execution (zeroed by non-pipelined executions).
-  /// overlapFraction() is directly comparable to MachineSpec::
-  /// OverlapFactor: the fraction of total gather time hidden behind leaf
-  /// compute. Thread-safe; under concurrent executions the last completer
-  /// wins, so read it from a serial measurement run.
-  struct OverlapStats {
-    double PrefetchSeconds = 0; ///< Gather time spent in async prefetch jobs.
-    double SyncSeconds = 0;     ///< Gather time on the critical path.
-    double WaitSeconds = 0;     ///< Time chains blocked on unfinished prefetch.
-    double hiddenSeconds() const {
-      return PrefetchSeconds > WaitSeconds ? PrefetchSeconds - WaitSeconds : 0;
-    }
-    double overlapFraction() const {
-      double Total = PrefetchSeconds + SyncSeconds;
-      return Total > 0 ? hiddenSeconds() / Total : 0;
-    }
-  };
-  OverlapStats lastOverlapStats() const;
-
   /// Executes the compiled program over \p Regions, which must contain
   /// every tensor of the statement; the output region is zeroed first.
   /// Returns the trace skeleton (TraceMode::Full) or an empty trace
@@ -320,8 +247,8 @@ public:
 
   /// Non-throwing execute: on success fills \p Out and returns OK; on
   /// failure returns the error after containing it per the class failure
-  /// contract (the failed arena quiesced and discarded — or condemned —
-  /// with the artifact and all sibling executions untouched). Thread-safe
+  /// contract (the failed arena discarded, with the artifact and all
+  /// sibling executions untouched). Thread-safe
   /// and reentrant, like execute().
   Status tryExecute(const std::map<TensorVar, Region *> &Regions, Trace &Out,
                     const ExecOptions &Opts = {});
@@ -354,13 +281,12 @@ public:
     int64_t Created = 0;   ///< Arenas newly allocated.
     int64_t Reused = 0;    ///< Acquisitions served from the cache.
     int64_t Discarded = 0; ///< Failed executions' arenas thrown away.
-    int64_t Condemned = 0; ///< Quarantined after a failed quiesce.
     int Cached = 0;        ///< Currently idle in the cache.
   };
   ArenaStats arenaStats() const;
 
-  /// Estimated resident bytes of the artifact itself (compiled tasks,
-  /// gather programs, prefetch schedule) — what the PlanCache charges
+  /// Estimated resident bytes of the artifact itself (compiled tasks and
+  /// their gather programs) — what the PlanCache charges
   /// against the ResourceGovernor budget per cached plan. Arena and Region
   /// bytes are accounted by their own ledgers, not here, so nothing is
   /// double-counted. Thread-safe (pure walk of immutable state).
@@ -368,8 +294,9 @@ public:
 
   /// Hang-diagnosis heartbeat: one line per execution currently inside
   /// executeBody, rendered off the arenas' progress counters — the phase
-  /// (launch / steps / writeback), the completed-step watermark (plus the
-  /// per-task min/max for the pipelined order), and the execution's age.
+  /// (launch / steps / writeback), the per-task completed-step watermark
+  /// (min/max over tasks, and how many tasks sit at the min), and the
+  /// execution's age.
   /// Empty when nothing is in flight. Thread-safe; purely observational
   /// (relaxed reads of counters the walk publishes anyway).
   std::string stuckReport() const;
@@ -378,17 +305,6 @@ public:
   /// still run — their arenas are simply freed on release instead of
   /// cached. 0 disables reuse entirely. Thread-safe.
   void setArenaCacheCap(int N);
-
-  /// True once the artifact was explicitly marked unusable (see
-  /// poisonForTesting): every further tryExecute returns
-  /// FailedPrecondition and the owner should drop the artifact
-  /// (PlanCache::invalidate). Note that execution failures — even failed
-  /// quiesces — no longer poison the artifact; containment is per-arena.
-  /// Thread-safe.
-  bool poisoned() const;
-  /// Test hook: marks the artifact refused-for-execution, exercising the
-  /// owner-side eviction paths (Tensor::tryEvaluate evicts on this).
-  void poisonForTesting();
 
 private:
   /// CompiledProgram links member artifacts into a whole-program dataflow
@@ -399,16 +315,12 @@ private:
   /// Hands out a pooled arena (or a fresh one) for one execution.
   std::unique_ptr<ExecArena> acquireArena();
   /// Returns a successfully-used arena to the cache (or frees it past the
-  /// cap). Failed arenas never come back here — tryExecute discards or
-  /// condemns them.
+  /// cap). Failed arenas never come back here — tryExecute discards them.
   void releaseArena(std::unique_ptr<ExecArena> A);
-  /// Builds \p A's per-task instance buffers / leaf engines on first use
-  /// (idempotent; sized at the compile-time maxima so reuse never
-  /// reallocates).
+  /// Builds \p A's per-task instance buffers, leaf engines, and progress
+  /// slots on first use (idempotent; sized at the compile-time maxima so
+  /// reuse never reallocates).
   void ensureExecState(ExecArena &A) const;
-  /// Builds \p A's back buffers and progress slots for the pipelined
-  /// order (idempotent).
-  void ensurePipelineState(ExecArena &A) const;
   /// The execute walk proper, entirely over \p A's state. Throws on
   /// failure; tryExecute contains it.
   Trace executeBody(ExecArena &A, const ExecutionSlot &Slot,
@@ -428,16 +340,10 @@ private:
   /// execution, only for pool handoffs and stat reads.
   mutable std::mutex StateMutex;
   std::vector<std::unique_ptr<ExecArena>> FreeArenas;
-  /// Arenas whose failed quiesce left detached jobs possibly referencing
-  /// their buffers: kept alive, never reused (see the failure contract).
-  std::vector<std::unique_ptr<ExecArena>> CondemnedArenas;
   int ArenaCacheCap = 4;
   ArenaStats Arenas;
-  OverlapStats LastOverlap;
-  bool Poisoned = false;
-  /// Arenas currently inside executeBody (raw pointers; each is owned by
-  /// its execution frame or a containment container). stuckReport walks
-  /// this to render the heartbeat.
+  /// Arenas currently inside executeBody (raw pointers, each owned by its
+  /// execution frame). stuckReport walks this to render the heartbeat.
   std::vector<const ExecArena *> InFlight;
 
   /// The admission front-end. Declared last so it is destroyed *first*:

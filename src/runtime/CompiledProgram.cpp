@@ -22,8 +22,8 @@
 // (or a task's own zero node), so the graph is acyclic by construction
 // and plain program order is a valid topological order — the 1-thread
 // path just walks nodes sequentially. The program walk issues no
-// detached jobs (overlap comes from the DAG, not from per-statement
-// prefetch), so failure containment has nothing in flight to quiesce.
+// detached jobs (overlap comes from the DAG), so failure containment has
+// nothing in flight: a failed execution simply discards its arena.
 //
 //===----------------------------------------------------------------------===//
 
@@ -306,29 +306,14 @@ Status CompiledProgram::tryExecute(const std::map<TensorVar, Region *> &Regions,
   } catch (...) {
     Unregister();
     Status S = statusFromCurrentException();
-    // Containment, mirroring CompiledPlan::tryExecute. The program walk
-    // issues no detached jobs, but member arenas are quiesced anyway in
-    // case a future execution order adds them.
-    bool Clean = true;
-    for (std::unique_ptr<ExecArena> &A : PA->Arenas)
-      if (A)
-        Clean &= A->quiescePending();
-    if (Clean) {
-      {
-        std::lock_guard<std::mutex> Lock(StateMutex);
-        ++Arenas.Discarded;
-      }
-      PA.reset();
-      S.appendNote("failed program execution's arena discarded; the "
-                   "program artifact remains reusable");
-    } else {
+    // Containment, mirroring CompiledPlan::tryExecute: discard the arena.
+    {
       std::lock_guard<std::mutex> Lock(StateMutex);
-      ++Arenas.Condemned;
-      CondemnedArenas.push_back(std::move(PA));
-      S.appendNote("in-flight work could not be quiesced; the failed "
-                   "program arena is quarantined, the artifact remains "
-                   "reusable");
+      ++Arenas.Discarded;
     }
+    PA.reset();
+    S.appendNote("failed program execution's arena discarded; the "
+                 "program artifact remains reusable");
     return S;
   }
 }
@@ -409,10 +394,9 @@ void CompiledProgram::runBody(ProgramArena &PA, const ExecutionSlot &Slot,
   ThreadPool *Pool = nullptr;
   LeafParallelism LeafLP;
   if (Ctx && Threads > 1) {
-    ExecContext::Lanes Lanes = Ctx->lanesFor(TotalTasks);
     Split = Opts.ForceTaskWays > 0
                 ? ExecContext::Split{Opts.ForceTaskWays, Opts.ForceLeafWays}
-                : Lanes.Compute;
+                : Ctx->splitFor(TotalTasks);
     if (Split.TaskWays > 1 || Split.LeafWays > 1)
       Pool = Ctx->pool();
     if (Pool && Split.LeafWays > 1)
@@ -538,9 +522,9 @@ void CompiledProgram::runNode(ProgramArena &PA, int32_t Node,
     return;
   }
 
-  // Task node: launch gathers plus the full step loop — the same walk the
-  // per-statement bulk-synchronous path runs per task, with the link
-  // overrides applied on top of the per-statement classification.
+  // Task node: launch gathers plus the full step loop — the same per-task
+  // chain CompiledPlan::executeBody runs, with the link overrides applied
+  // on top of the per-statement classification.
   size_t TaskIdx = static_cast<size_t>(Local - 1);
   const CompiledTask &CT = CP.Tasks[TaskIdx];
   ExecArena::TaskExec &TE = A.Execs[TaskIdx];

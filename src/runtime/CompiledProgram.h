@@ -63,7 +63,7 @@ private:
 /// The whole-program execution artifact. Immutable after construction and
 /// therefore reentrant: concurrent tryExecute/submit calls each run in
 /// their own pooled ProgramArena (per-member ExecArenas, one fault scope,
-/// one owned context), with the PR-6/PR-7 containment contract — a failed
+/// one owned context), with CompiledPlan's containment contract — a failed
 /// execution's arena is discarded, the artifact and sibling executions are
 /// untouched, and the artifact remains reusable.
 class CompiledProgram {
@@ -124,9 +124,9 @@ public:
                const ExecOptions &Opts = {});
 
   /// Non-throwing execute: returns OK on success; on failure returns the
-  /// error after containing it to this execution's arena (quiesced and
-  /// discarded — the artifact and sibling executions remain untouched and
-  /// the artifact stays reusable). Thread-safe and reentrant.
+  /// error after containing it to this execution's arena (discarded — the
+  /// artifact and sibling executions remain untouched and the artifact
+  /// stays reusable). Thread-safe and reentrant.
   Status tryExecute(const std::map<TensorVar, Region *> &Regions,
                     const ExecOptions &Opts = {});
 
@@ -211,8 +211,6 @@ private:
 
   mutable std::mutex StateMutex;
   std::vector<std::unique_ptr<ProgramArena>> FreeArenas;
-  /// Failed-quiesce quarantine, mirroring CompiledPlan::CondemnedArenas.
-  std::vector<std::unique_ptr<ProgramArena>> CondemnedArenas;
   int ArenaCacheCap = 2;
   CompiledPlan::ArenaStats Arenas;
   /// Program arenas currently inside runBody (see stuckReport).

@@ -24,7 +24,7 @@ Executor::Executor(const Plan &P, const Mapper &Map) : P(P), Map(Map) {}
 Executor::~Executor() = default;
 
 CompiledPlan &Executor::compiled() {
-  if (!CP || CP->strategy() != Strategy || CP->poisoned())
+  if (!CP || CP->strategy() != Strategy)
     CP = std::make_unique<CompiledPlan>(P, Map, Strategy);
   return *CP;
 }
@@ -40,92 +40,24 @@ Trace Executor::run(const std::map<TensorVar, Region *> &Regions,
 
 Status Executor::tryRun(const std::map<TensorVar, Region *> &Regions,
                         Trace &Out, TraceMode Mode) {
-  Trail.clear();
-  ExecOptions Opts;
-  Opts.Ctx = ExternalCtx;
-  Opts.NumThreads = NumThreads;
-  Opts.ForceTaskWays = ForceTaskWays;
-  Opts.ForceLeafWays = ForceLeafWays;
-  Opts.Mode = Mode;
-  Opts.Pipe = Pipe;
-  Opts.ZeroCopyViews = ZeroCopyViews;
-  Opts.Cancel = Cancel;
-
-  // Bad input fails identically on every rung, and a cancelled or expired
-  // execution must stay cancelled — retrying would override the caller's
-  // explicit stop (or burn the rest of a deadline that already passed).
-  auto NeverRetry = [](const Status &S) {
-    return S.code() == ErrorCode::InvalidArgument ||
-           S.code() == ErrorCode::Cancelled ||
-           S.code() == ErrorCode::DeadlineExceeded;
-  };
-
-  Status First = compiled().tryExecute(Regions, Out, Opts);
-  if (First.ok())
-    return First;
-  Trail.push_back({"as-configured", First});
-  if (NeverRetry(First))
-    return First;
-
-  // The degradation ladder: each rung removes one optimization that
-  // narrows the machinery a fault can hide in — first the prefetch
-  // communication lane, then the zero-copy alias bindings, finally the
-  // compiled leaf tapes. Every rung produces bitwise-identical output, so
-  // a success anywhere on the ladder is a full-fidelity result. compiled()
-  // is re-fetched per rung: a rung that poisons the artifact gets a fresh
-  // compile for the next one.
-  if (Opts.Pipe != Pipeline::Off) {
-    Opts.Pipe = Pipeline::Off;
-    Status S = compiled().tryExecute(Regions, Out, Opts);
-    Trail.push_back({"pipeline-off", S});
-    if (S.ok() || NeverRetry(S))
-      return S;
-  }
-  if (Opts.ZeroCopyViews) {
-    Opts.ZeroCopyViews = false;
-    Status S = compiled().tryExecute(Regions, Out, Opts);
-    Trail.push_back({"zero-copy-views-off", S});
-    if (S.ok() || NeverRetry(S))
-      return S;
-  }
-  if (Strategy == LeafStrategy::Compiled) {
-    // Last rung: the seed interpreter, on a temporary artifact so the
-    // memoized compiled one is not clobbered by a one-off fallback.
-    Status S;
-    try {
-      CompiledPlan Interp(P, Map, LeafStrategy::Interpreted);
-      S = Interp.tryExecute(Regions, Out, Opts);
-    } catch (...) {
-      S = statusFromCurrentException();
-    }
-    Trail.push_back({"interpreted-leaves", S});
-    if (S.ok() || NeverRetry(S))
-      return S;
-  }
-
-  // Every rung failed: surface the original error, annotated with the
-  // full degradation trail (degradationTrail() rendered end to end, the
-  // first attempt included) so the Status alone tells the whole story.
-  Status Result = First;
-  std::string TrailNote = "degradation trail:";
-  for (const RetryAttempt &A : Trail)
-    TrailNote += " rung '" + A.Rung + "': [" + A.Outcome.str() + "]";
-  Result.appendNote(TrailNote);
-  return Result;
+  return compiled().tryExecute(Regions, Out, execOptions(Mode));
 }
 
 ExecFuture Executor::submit(const std::map<TensorVar, Region *> &Regions,
                             TraceMode Mode) {
+  return compiled().submit(Regions, execOptions(Mode));
+}
+
+ExecOptions Executor::execOptions(TraceMode Mode) const {
   ExecOptions Opts;
   Opts.Ctx = ExternalCtx;
   Opts.NumThreads = NumThreads;
   Opts.ForceTaskWays = ForceTaskWays;
   Opts.ForceLeafWays = ForceLeafWays;
   Opts.Mode = Mode;
-  Opts.Pipe = Pipe;
   Opts.ZeroCopyViews = ZeroCopyViews;
   Opts.Cancel = Cancel;
-  return compiled().submit(Regions, Opts);
+  return Opts;
 }
 
 Trace Executor::simulate() { return compiled().trace(); }

@@ -89,13 +89,6 @@ public:
   /// artifact bakes the leaf tapes and gather routing).
   void setLeafStrategy(LeafStrategy S) { Strategy = S; }
 
-  /// Selects the execution order: Pipeline::DoubleBuffer (the default)
-  /// overlaps the next step's gathers with the current step's leaf via
-  /// double-buffered prefetch; Pipeline::Off runs bulk-synchronously.
-  /// Output data is bitwise-identical either way; no recompile needed
-  /// (pipelining is an execute-time knob, like threads).
-  void setPipeline(Pipeline P) { Pipe = P; }
-
   /// Zero-copy alias views (on by default for the compiled strategy):
   /// gathers the compile phase proved home-resident bind leaves directly
   /// to Region storage, and an aliased output accumulator elides its
@@ -107,58 +100,35 @@ public:
   /// Installs a cancellation/deadline token consulted by every subsequent
   /// run()/tryRun()/submit() (see CancelToken and ExecOptions::Cancel). A
   /// tripped token stops the execution at its next cancellation point with
-  /// Cancelled/DeadlineExceeded; the retry ladder never retries either
-  /// code, so a cancelled run stays cancelled. Pass a default-constructed
-  /// token to clear. The disarmed cost is one relaxed load per
+  /// Cancelled/DeadlineExceeded. Pass a default-constructed token to
+  /// clear. The disarmed cost is one relaxed load per
   /// cancellation point.
   void setCancelToken(CancelToken T) { Cancel = std::move(T); }
 
   /// The compiled artifact, built on first use and reused by every
-  /// subsequent run()/simulate() of this executor. A poisoned artifact
-  /// (uncontained execution failure) is dropped and recompiled here.
+  /// subsequent run()/simulate() of this executor.
   CompiledPlan &compiled();
 
   /// Runs the plan on real data. \p Regions must contain every tensor of
   /// the statement; the output region is zeroed first. The first call
   /// compiles; later calls are steady-state walks of the artifact.
   /// TraceMode::Full returns the precomputed trace; TraceMode::Off skips
-  /// even the trace copy and returns an empty trace. On failure walks the
-  /// degradation ladder (see tryRun) and throws DistalError only if every
-  /// rung fails.
+  /// even the trace copy and returns an empty trace. Throws DistalError
+  /// on failure; tryRun is the non-throwing form.
   Trace run(const std::map<TensorVar, Region *> &Regions,
             TraceMode Mode = TraceMode::Full);
 
-  /// One rung of the graceful-degradation ladder tryRun walked: the
-  /// configuration tried and what it returned.
-  struct RetryAttempt {
-    std::string Rung;
-    Status Outcome;
-  };
-
-  /// Non-throwing run with graceful degradation. On a contained execution
-  /// failure, retries with progressively safer configurations —
-  /// (1) as configured, (2) Pipeline::Off, (3) additionally zero-copy
-  /// views off, (4) interpreted leaves on a temporary artifact (the
-  /// compiled artifact is not clobbered) — and returns OK from the first
-  /// rung that succeeds. InvalidArgument failures are not retried (bad
-  /// input fails identically on every rung), and neither are Cancelled or
-  /// DeadlineExceeded (a retry would override the caller's explicit stop;
-  /// see setCancelToken). If every rung fails, returns the *original*
-  /// Status with the full degradation trail rendered into one note (also
-  /// kept structured in degradationTrail()).
+  /// Non-throwing run: executes once, like submit() and the Tensor API. A
+  /// failure is contained by the artifact (see CompiledPlan::tryExecute),
+  /// so the executor stays usable and a later clean run is
+  /// bitwise-identical.
   Status tryRun(const std::map<TensorVar, Region *> &Regions, Trace &Out,
                 TraceMode Mode = TraceMode::Full);
-
-  /// The attempts of the most recent tryRun/run, in order. Empty after a
-  /// first-rung success with no degradation.
-  const std::vector<RetryAttempt> &degradationTrail() const { return Trail; }
 
   /// Submits a run through the compiled artifact's admission queue and
   /// returns a future immediately: bounded concurrency per artifact,
   /// identical concurrent requests coalesced onto one pass, the result
-  /// (Status + trace) read via ExecFuture::wait()/trace(). Unlike
-  /// run()/tryRun(), a failed submitted execution is NOT retried down the
-  /// degradation ladder — the future carries the first error. The artifact
+  /// (Status + trace) read via ExecFuture::wait()/trace(). The artifact
   /// is owned by this executor, so the executor must outlive the returned
   /// future. Configuration knobs are snapshotted at submit time; changing
   /// them afterwards does not affect in-flight requests.
@@ -179,8 +149,8 @@ public:
   }
 
   /// Snapshot of the process-wide governor counters: budget, accounted and
-  /// peak bytes, and how often each pressure response fired (degraded
-  /// admissions, shed requests, cache shrinks, arena-cache bypasses).
+  /// peak bytes, and how often each pressure response fired (shed
+  /// requests, cache shrinks, arena-cache bypasses).
   static ResourceGovernor::Stats governorStats() {
     return ResourceGovernor::stats();
   }
@@ -203,20 +173,19 @@ public:
                                       const Point &DstProc) const;
 
 private:
+  /// The execute-time knobs above, snapshotted for one run or submit.
+  ExecOptions execOptions(TraceMode Mode) const;
+
   const Plan &P;
   const Mapper &Map;
   int NumThreads = 0;
   int ForceTaskWays = 0, ForceLeafWays = 0;
   LeafStrategy Strategy = LeafStrategy::Compiled;
-  Pipeline Pipe = Pipeline::DoubleBuffer;
   bool ZeroCopyViews = true;
   CancelToken Cancel;
   ExecContext *ExternalCtx = nullptr;
-  /// Compile-once artifact, rebuilt only when the leaf strategy changes
-  /// or the artifact was poisoned by an uncontained failure.
+  /// Compile-once artifact, rebuilt only when the leaf strategy changes.
   std::unique_ptr<CompiledPlan> CP;
-  /// Degradation trail of the most recent tryRun/run (see tryRun).
-  std::vector<RetryAttempt> Trail;
 };
 
 /// Sequential reference executor: runs \p Stmt directly over dense arrays

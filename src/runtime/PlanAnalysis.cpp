@@ -250,21 +250,9 @@ PlanAnalysisResult distal::analyzePlan(const Plan &P, const Mapper &Map) {
     }
     TS.CT.OutRect = tensorRect(Out, Stmt, Prov, TS.Fixed);
     TS.CT.StepGathers.resize(static_cast<size_t>(NumSteps));
-    TS.CT.PrefetchDeps.resize(static_cast<size_t>(NumSteps));
     TS.CT.RunLeaf.resize(static_cast<size_t>(NumSteps), 0);
     States.push_back(std::move(TS));
   });
-
-  // Relay-source resolution for the prefetch schedule needs the inverse
-  // placement map; a processor hosting more than one task is ambiguous and
-  // conservatively disables prefetch of gathers relayed through it.
-  std::map<int64_t, int32_t> TaskOnProc; // -1: ambiguous.
-  for (size_t I = 0; I < States.size(); ++I) {
-    auto [It, New] = TaskOnProc.emplace(States[I].CT.ProcId,
-                                        static_cast<int32_t>(I));
-    if (!New)
-      It->second = -1;
-  }
 
   // Alias analysis, output side: a task's accumulator may alias the home
   // region — eliding both its launch-phase zero/copy and its owner-ordered
@@ -339,12 +327,6 @@ PlanAnalysisResult distal::analyzePlan(const Plan &P, const Mapper &Map) {
 
         std::vector<Message> Msgs =
             planGatherMessages(P, SC.Tensor, R, TS.CT.ProcPt);
-        // Prefetch schedule: a home-fed gather reads the (execution-
-        // immutable) input region and may always be issued one step early;
-        // a relay-fed gather depends on its source task having finished
-        // the previous step's fetch, resolved below.
-        int32_t Dep = SC.Tensor == Out ? CompiledTask::NoPrefetch
-                                       : CompiledTask::PrefetchFree;
         // Relay: if some processor held exactly this rectangle last step,
         // fetch from the closest holder when that beats the home owner.
         auto HIt = PrevHolders.find(SC.Tensor);
@@ -378,23 +360,6 @@ PlanAnalysisResult distal::analyzePlan(const Plan &P, const Mapper &Map) {
                                P.M.nodeOf(TS.CT.ProcPt);
               Relay.Tensor = SC.Tensor.name();
               Msgs = {Relay};
-              if (Dep == CompiledTask::PrefetchFree) {
-                // The relay source only holds the block once its own
-                // previous-step fetch completed: prefetching is legal
-                // behind that *task's* progress. Resolution is by task,
-                // not processor — a processor hosting several tasks makes
-                // the source ambiguous. An unrotated comm that still
-                // relayed, or an ambiguous source, is excluded; a block
-                // this task itself held last step is freely prefetchable.
-                auto TIt = TaskOnProc.find(BestSrc);
-                int32_t SrcTask =
-                    TIt != TaskOnProc.end() ? TIt->second : -1;
-                int32_t SelfTask = static_cast<int32_t>(&TS - States.data());
-                if (!SC.Rotated || SrcTask < 0)
-                  Dep = CompiledTask::NoPrefetch;
-                else if (SrcTask != SelfTask)
-                  Dep = SrcTask;
-              }
             }
           }
         }
@@ -414,7 +379,6 @@ PlanAnalysisResult distal::analyzePlan(const Plan &P, const Mapper &Map) {
           SG.Class = GatherClass::Aliasable;
         TS.CT.StepGathers[static_cast<size_t>(StepIdx)].push_back(
             std::move(SG));
-        TS.CT.PrefetchDeps[static_cast<size_t>(StepIdx)].push_back(Dep);
       }
       TS.MaxStepBytes = std::max(TS.MaxStepBytes, StepBytes);
 
@@ -445,7 +409,9 @@ PlanAnalysisResult distal::analyzePlan(const Plan &P, const Mapper &Map) {
       Msg.Reduction = true;
       T.Phases.back().Messages.push_back(std::move(Msg));
     }
-    // Live instances: task-level + double-buffered step instances.
+    // Live instances in the modelled distributed run: task-level plus
+    // double-buffered step instances (the runtime overlaps a step's copy
+    // with the previous step's leaf; this engine's own walk does not).
     TaskBytes[TS.CT.ProcId] = std::max(
         TaskBytes[TS.CT.ProcId], TS.TaskInstBytes + 2 * TS.MaxStepBytes);
   }

@@ -169,26 +169,6 @@ void Instance::zero() {
     std::memset(Data.data(), 0, Data.size() * sizeof(double));
 }
 
-Instance &Instance::back() {
-  if (!Back)
-    Back = std::make_unique<Instance>();
-  return *Back;
-}
-
-void Instance::flip() {
-  DISTAL_ASSERT(Back != nullptr, "flip() on an instance without a back buffer");
-  DISTAL_ASSERT(!isView() && !Back->isView(),
-                "a viewed instance never flips: views alias region storage "
-                "and must not be promoted over a prefetched buffer");
-  std::swap(Bounds, Back->Bounds);
-  std::swap(Strides, Back->Strides);
-  std::swap(BaseOff, Back->BaseOff);
-  std::swap(Data, Back->Data);
-  // Swapped alongside the rest so even an assert-stripped build promotes
-  // the gathered buffer coherently instead of aliasing stale storage.
-  std::swap(View, Back->View);
-}
-
 Region::Region(TensorVar Var, Format Fmt, Machine M)
     : Var(std::move(Var)), Fmt(std::move(Fmt)), M(std::move(M)) {
   DISTAL_ASSERT(this->Var.defined(), "region over undefined tensor");

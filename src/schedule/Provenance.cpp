@@ -116,13 +116,6 @@ void ProvenanceGraph::rotate(const IndexVar &Target,
                             join(OverNames) + "}, " + Result.name() + ")");
 }
 
-bool ProvenanceGraph::isRotationResult(const IndexVar &V) const {
-  for (const auto &[Var, R] : Recoveries)
-    if (R.Kind == RecoveryKind::Rotate && R.A == V)
-      return true;
-  return false;
-}
-
 Coord ProvenanceGraph::extent(const IndexVar &V) const {
   auto It = Extents.find(V);
   DISTAL_ASSERT(It != Extents.end(), "extent of unknown index variable");

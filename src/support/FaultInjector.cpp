@@ -129,8 +129,6 @@ const char *FaultInjector::siteName(Site S) {
   switch (S) {
   case Site::Gather:
     return "gather";
-  case Site::Prefetch:
-    return "prefetch";
   case Site::Leaf:
     return "leaf";
   case Site::Writeback:
@@ -158,7 +156,7 @@ uint32_t FaultInjector::parseSites(const std::string &Spec,
     if (!Known)
       warn(Warnings, "distal: unknown fault site '" + Name +
                          "' in DISTAL_FAULT_SITES (want "
-                         "gather,prefetch,leaf,writeback,alloc or 'all')");
+                         "gather,leaf,writeback,alloc or 'all')");
   }
   return Mask;
 }

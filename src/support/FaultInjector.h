@@ -2,10 +2,10 @@
 ///
 /// \file
 /// Seeded, deterministic fault injection for the execute stack. Hooks sit
-/// at the five failure surfaces of a CompiledPlan execution — gather,
-/// prefetch-ticket, leaf-launch, writeback, and allocation — and, when
+/// at the four failure surfaces of a CompiledPlan execution — gather,
+/// leaf-launch, writeback, and allocation — and, when
 /// armed, throw DistalError(ErrorCode::Injected) so the containment and
-/// retry machinery can be driven without real hardware faults.
+/// recovery machinery can be driven without real hardware faults.
 ///
 /// Determinism: arrivals are counted per *execution scope* (each
 /// CompiledPlan execution arena owns one; see ExecutionScope below), and
@@ -31,7 +31,7 @@
 /// or from the environment at process start:
 ///   DISTAL_FAULT_RATE     fire probability in [0, 1] (0 or unset = disarmed)
 ///   DISTAL_FAULT_SEED     determinism seed (default 0)
-///   DISTAL_FAULT_SITES    comma list of gather,prefetch,leaf,writeback,alloc
+///   DISTAL_FAULT_SITES    comma list of gather,leaf,writeback,alloc
 ///                         or "all" (default all)
 ///   DISTAL_FAULT_MAX      stop after this many injections (default unlimited)
 ///   DISTAL_FAULT_ACTION   "throw" (default) or "delay"
@@ -57,8 +57,8 @@ namespace distal {
 
 class FaultInjector {
 public:
-  enum class Site : uint8_t { Gather, Prefetch, Leaf, Writeback, Alloc };
-  static constexpr int NumSites = 5;
+  enum class Site : uint8_t { Gather, Leaf, Writeback, Alloc };
+  static constexpr int NumSites = 4;
 
   /// What a firing arrival does: throw the Injected error, or sleep
   /// DelayMicros and continue (a deterministic slowdown, results intact).
@@ -71,7 +71,7 @@ public:
     uint32_t SiteMask = 0;
     /// Total injections before the injector exhausts itself; < 0 means
     /// unlimited. MaxInjections = 1 makes exactly the first eligible
-    /// arrival fail — the retry-ladder tests' "transient fault".
+    /// arrival fail — the fault-tolerance tests' "transient fault".
     int64_t MaxInjections = -1;
     /// Firing behaviour; Delay sleeps instead of throwing.
     Action Act = Action::Throw;

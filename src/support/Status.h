@@ -38,7 +38,8 @@ enum class ErrorCode : uint8_t {
   /// schedules, missing regions, undefined computations.
   InvalidArgument,
   /// The operation is valid but the object cannot serve it right now —
-  /// notably an execution artifact poisoned by a failed quiesce.
+  /// notably an artifact whose circuit breaker is open, or a future whose
+  /// executor is gone.
   FailedPrecondition,
   /// Allocation failure (std::bad_alloc or an injected equivalent).
   ResourceExhausted,
@@ -46,13 +47,12 @@ enum class ErrorCode : uint8_t {
   /// support/FaultInjector.h).
   Injected,
   /// The caller cancelled the operation through a CancelToken (or by
-  /// dropping every copy of an unclaimed deferred future). Never retried
-  /// by the Executor degradation ladder: the caller asked for the work to
-  /// stop, so re-running it on a fallback rung would be a bug.
+  /// dropping every copy of an unclaimed deferred future). Not counted
+  /// as a circuit-breaker failure: the caller asked for the work to stop.
   Cancelled,
   /// The operation's deadline passed before it completed — either while
-  /// queued (it never ran) or mid-execution (it was quiesced). Like
-  /// Cancelled, never retried by the degradation ladder.
+  /// queued (it never ran) or mid-execution (it stopped at its next
+  /// cancellation point). Like Cancelled, never a breaker failure.
   DeadlineExceeded,
   /// Everything else that crossed a boundary as an exception.
   Internal,
@@ -71,8 +71,8 @@ public:
   ErrorCode code() const { return Code; }
   const std::string &message() const { return Message; }
 
-  /// Appends "; Note" to the message (for degradation trails and quiesce
-  /// outcomes) without losing the original code.
+  /// Appends "; Note" to the message (for containment outcomes) without
+  /// losing the original code.
   Status &appendNote(const std::string &Note) {
     Message += Message.empty() ? Note : "; " + Note;
     return *this;

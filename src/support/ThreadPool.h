@@ -97,7 +97,7 @@ public:
   /// is captured first and rethrown by the same wait(), never thrown raw
   /// through the helping frame. The destructor and waitNoThrow() consume a
   /// pending exception without throwing; the destructor additionally logs
-  /// it to stderr so a failed comm-lane job is never silently dropped.
+  /// it to stderr so a failed detached job is never silently dropped.
   class Ticket {
   public:
     Ticket() = default;
@@ -115,8 +115,9 @@ public:
     /// threw. The exception is consumed: a second wait() returns cleanly.
     void wait();
     /// wait() that swallows a pending exception instead of rethrowing —
-    /// the quiesce path of a failed execution, where the primary error is
-    /// already in flight. Logs the swallowed exception when \p LogDropped.
+    /// for callers whose job latches its own result (a program future) or
+    /// that are already unwinding. Logs the swallowed exception when
+    /// \p LogDropped.
     void waitNoThrow(bool LogDropped = false);
 
   private:
@@ -125,14 +126,12 @@ public:
     std::shared_ptr<AsyncState> St;
   };
 
-  /// Submits \p Fn as a detached single-chunk job — the *communication
-  /// lane* of the pipelined executor. Unlike the structured parallelFor
-  /// family the submitter does not participate: it keeps running (compute)
-  /// while an idle worker picks the job up. Async jobs are queued ahead of
-  /// structured jobs so data-movement work is claimed preferentially the
-  /// moment a worker frees up, which is what lets gathers hide behind leaf
-  /// kernels without a dedicated (oversubscribing) communication thread.
-  /// Runs \p Fn inline (before returning) when the pool is sequential, the
+  /// Submits \p Fn as a detached single-chunk job — the background lane
+  /// that admission dispatch and CompiledProgram::submit run executions
+  /// on. Unlike the structured parallelFor family the submitter does not
+  /// participate: it returns at once while an idle worker picks the job
+  /// up. Async jobs are queued ahead of structured jobs, so a dispatched
+  /// execution starts the moment a worker frees up. Runs \p Fn inline (before returning) when the pool is sequential, the
   /// thread is pinned serial (InlineScope), or the caller is a worker of a
   /// different pool — the same rules as the structured entry points.
   Ticket submitAsync(std::function<void()> Fn);

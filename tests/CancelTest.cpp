@@ -2,13 +2,13 @@
 //
 // End-to-end deadline and cancellation support: the CancelToken primitive,
 // its cancellation points through the execute stack (ThreadPool chunk
-// claims, CompiledPlan step boundaries and prefetch issue, CompiledProgram
-// node boundaries), the containment contract for a cancelled execution
+// claims, CompiledPlan per-task step boundaries, CompiledProgram node
+// boundaries), the containment contract for a cancelled execution
 // (arena discarded, artifact reusable, a clean re-execute bitwise-identical
 // to the reference), the deadline-aware admission layer (cancel-before-
 // claim, deadline-expired-while-queued, auto-cancel on dropping every
-// future copy, bounded waitFor), the Executor ladder's never-retry rule for
-// Cancelled/DeadlineExceeded, and the progress heartbeat (stuckReport).
+// future copy, bounded waitFor), Executor::tryRun returning Cancelled from
+// its single attempt, and the progress heartbeat (stuckReport).
 //
 // Determinism substrate: mid-execution trips never race wall clocks
 // directly — the fault injector's delay action (seeded, site-keyed sleeps)
@@ -52,7 +52,7 @@ public:
 const ::testing::Environment *const BaselineEnv =
     ::testing::AddGlobalTestEnvironment(new DisarmedBaseline);
 
-/// A Cannon matmul: launch + step gathers, relay-fed prefetch, real
+/// A Cannon matmul: launch + step gathers, relay-fed steps, real
 /// writeback — every cancellation point of the plan walk is on the path.
 MatmulProblem makeCannon(Coord N = 24) {
   MatmulOptions O;
@@ -244,12 +244,12 @@ TEST(Cancel, ThreadPoolParallelForHonoursToken) {
   EXPECT_EQ(Ran.load(), 64);
 }
 
-// The containment contract for cancellation, over the full execute-mode
-// matrix (views on/off x pipeline on/off): a pre-cancelled token fails the
-// execution with Cancelled before any work, a delay-held execution trips
-// its deadline mid-flight with DeadlineExceeded, both are contained
-// exactly like any other failure (artifact unpoisoned, arena discarded),
-// and an immediate clean re-execute is bitwise-identical to the reference.
+// The containment contract for cancellation, with views on and off: a
+// pre-cancelled token fails the execution with Cancelled before any work,
+// a delay-held execution trips its deadline mid-flight with
+// DeadlineExceeded, both are contained exactly like any other failure
+// (arena discarded), and an immediate clean re-execute is
+// bitwise-identical to the reference.
 TEST(Cancel, CancelledExecutionLeavesArtifactReusableAcrossModes) {
   MatmulProblem Prob = makeCannon();
   CompiledPlan CP(Prob.P);
@@ -257,43 +257,37 @@ TEST(Cancel, CancelledExecutionLeavesArtifactReusableAcrossModes) {
   CP.execute(Ref.Regions, fastOpts(1));
   const std::vector<double> Expected = Ref.output(Prob.A);
 
-  for (bool Views : {true, false})
-    for (Pipeline Pipe : {Pipeline::DoubleBuffer, Pipeline::Off}) {
-      SCOPED_TRACE((Views ? "views-on " : "views-off ") +
-                   std::string(Pipe == Pipeline::Off ? "pipe-off"
-                                                     : "pipe-double"));
-      ClientRegions Set(Prob);
-      ExecOptions Opts = fastOpts(2);
-      Opts.ZeroCopyViews = Views;
-      Opts.Pipe = Pipe;
+  for (bool Views : {true, false}) {
+    SCOPED_TRACE(Views ? "views-on" : "views-off");
+    ClientRegions Set(Prob);
+    ExecOptions Opts = fastOpts(2);
+    Opts.ZeroCopyViews = Views;
 
-      // Cancelled at entry: deterministic, nothing executes.
-      Opts.Cancel = CancelToken::create();
-      Opts.Cancel.cancel();
-      Trace T;
-      Status S = CP.tryExecute(Set.Regions, T, Opts);
-      EXPECT_EQ(S.code(), ErrorCode::Cancelled) << S.str();
-      EXPECT_NE(S.message().find("reusable"), std::string::npos)
-          << "containment note missing: " << S.str();
-      EXPECT_FALSE(CP.poisoned());
+    // Cancelled at entry: deterministic, nothing executes.
+    Opts.Cancel = CancelToken::create();
+    Opts.Cancel.cancel();
+    Trace T;
+    Status S = CP.tryExecute(Set.Regions, T, Opts);
+    EXPECT_EQ(S.code(), ErrorCode::Cancelled) << S.str();
+    EXPECT_NE(S.message().find("reusable"), std::string::npos)
+        << "containment note missing: " << S.str();
 
-      // Deadline mid-execution: every leaf arrival sleeps 4ms, so the 1ms
-      // deadline is guaranteed to pass while the walk is still in flight;
-      // the next cancellation point trips DeadlineExceeded.
-      {
-        ScopedFaultInjection Inject(leafDelay(4000));
-        Opts.Cancel = CancelToken::withTimeout(std::chrono::milliseconds(1));
-        Status DS = CP.tryExecute(Set.Regions, T, Opts);
-        EXPECT_EQ(DS.code(), ErrorCode::DeadlineExceeded) << DS.str();
-        EXPECT_FALSE(CP.poisoned());
-      }
-
-      // Clean re-execute in the same mode: bitwise-identical bytes.
-      Opts.Cancel = CancelToken();
-      ASSERT_TRUE(CP.tryExecute(Set.Regions, T, Opts).ok());
-      EXPECT_EQ(Set.output(Prob.A), Expected);
+    // Deadline mid-execution: every leaf arrival sleeps 4ms, so the 1ms
+    // deadline is guaranteed to pass while the walk is still in flight;
+    // the next cancellation point trips DeadlineExceeded.
+    {
+      ScopedFaultInjection Inject(leafDelay(4000));
+      Opts.Cancel = CancelToken::withTimeout(std::chrono::milliseconds(1));
+      Status DS = CP.tryExecute(Set.Regions, T, Opts);
+      EXPECT_EQ(DS.code(), ErrorCode::DeadlineExceeded) << DS.str();
     }
-  EXPECT_EQ(CP.arenaStats().Condemned, 0);
+
+    // Clean re-execute in the same mode: bitwise-identical bytes.
+    Opts.Cancel = CancelToken();
+    ASSERT_TRUE(CP.tryExecute(Set.Regions, T, Opts).ok());
+    EXPECT_EQ(Set.output(Prob.A), Expected);
+  }
+  EXPECT_EQ(CP.arenaStats().Discarded, 4);
 }
 
 // Admission: cancelling an unclaimed Deferred request resolves it
@@ -442,9 +436,8 @@ TEST(Cancel, WaitForReturnsOnTimeWithExecutionInFlight) {
   }
   // Depending on when the background job claimed the request, the cancel
   // either resolved it before it ran or tripped it mid-execution; both
-  // surface Cancelled, and neither may poison the artifact.
+  // surface Cancelled, and the artifact stays reusable.
   EXPECT_EQ(S.code(), ErrorCode::Cancelled) << S.str();
-  EXPECT_FALSE(CP.poisoned());
 
   Trace T;
   ASSERT_TRUE(CP.tryExecute(Set.Regions, T, fastOpts(2)).ok());
@@ -491,7 +484,6 @@ TEST(Cancel, ConcurrentCancelLeavesSiblingCoalescedPairIntact) {
   const Status &A2 = FA2.wait();
   EXPECT_EQ(A1.code(), A2.code());
   EXPECT_TRUE(A1.ok() || A1.code() == ErrorCode::Cancelled) << A1.str();
-  EXPECT_FALSE(CP.poisoned());
 
   Trace T;
   ASSERT_TRUE(CP.tryExecute(SetA.Regions, T, fastOpts(2)).ok());
@@ -528,12 +520,12 @@ TEST(Cancel, ProgramCancelledBetweenStatementsStaysReusable) {
   Opts.Cancel = CancelToken();
   ASSERT_TRUE(Prog->tryExecute(R.Regions, Opts).ok());
   EXPECT_EQ(R.bytesOf(C.Y), Expected);
-  EXPECT_EQ(Prog->arenaStats().Condemned, 0);
+  EXPECT_EQ(Prog->arenaStats().Discarded, 2);
 }
 
-// The Executor ladder never retries a cancelled or expired run: the
-// caller asked for the work to stop, so no fallback rung may run it again.
-TEST(Cancel, ExecutorLadderNeverRetriesCancellation) {
+// A cancelled Executor::tryRun returns Cancelled: it executes once, so
+// nothing runs the work again after the caller asked it to stop.
+TEST(Cancel, ExecutorTryRunReturnsCancelled) {
   MatmulProblem Prob = makeCannon();
   ClientRegions Set(Prob);
   Executor E(Prob.P);
@@ -545,9 +537,7 @@ TEST(Cancel, ExecutorLadderNeverRetriesCancellation) {
   Trace Out;
   Status S = E.tryRun(Set.Regions, Out, TraceMode::Off);
   EXPECT_EQ(S.code(), ErrorCode::Cancelled) << S.str();
-  ASSERT_EQ(E.degradationTrail().size(), 1u)
-      << "no rung beyond the first attempt may run";
-  EXPECT_EQ(E.degradationTrail()[0].Rung, "as-configured");
+  EXPECT_EQ(E.compiled().arenaStats().Discarded, 1);
 
   // Clearing the token restores normal runs.
   E.setCancelToken(CancelToken());
@@ -555,9 +545,10 @@ TEST(Cancel, ExecutorLadderNeverRetriesCancellation) {
 }
 
 // The progress heartbeat: stuckReport is empty when idle and shows the
-// in-flight execution's phase/step while a delay-held walk is parked in
-// its leaf sleeps; after completion it empties again and the bytes are
-// untouched by the observation.
+// in-flight execution's phase and per-task step watermark while a
+// delay-held walk is parked in its leaf sleeps — at one thread (the
+// sequential walk) and at two; after completion it empties again and the
+// bytes are untouched by the observation.
 TEST(Cancel, StuckReportShowsInFlightExecution) {
   MatmulProblem Prob = makeCannon();
   CompiledPlan CP(Prob.P);
@@ -566,29 +557,41 @@ TEST(Cancel, StuckReportShowsInFlightExecution) {
   const std::vector<double> Expected = Ref.output(Prob.A);
   EXPECT_TRUE(CP.stuckReport().empty()) << CP.stuckReport();
 
-  ClientRegions Set(Prob);
-  Status S;
-  std::string Seen;
-  {
-    // 20ms per leaf arrival holds the walk in flight for a comfortable
-    // polling window (Cannon at 4 procs: >= 8 leaf arrivals).
-    ScopedFaultInjection Inject(leafDelay(20000));
-    std::thread Runner([&] {
-      Trace T;
-      S = CP.tryExecute(Set.Regions, T, fastOpts(2));
-    });
-    for (int I = 0; I < 3000 && Seen.empty(); ++I) {
-      Seen = CP.stuckReport();
-      if (Seen.empty())
+  for (int Threads : {1, 2}) {
+    SCOPED_TRACE("threads " + std::to_string(Threads));
+    ClientRegions Set(Prob);
+    Status S;
+    std::string Seen;
+    {
+      // 20ms per leaf arrival holds the walk in the step loop for a
+      // comfortable polling window (Cannon at 4 procs: >= 8 leaf
+      // arrivals).
+      ScopedFaultInjection Inject(leafDelay(20000));
+      std::thread Runner([&] {
+        Trace T;
+        S = CP.tryExecute(Set.Regions, T, fastOpts(Threads));
+      });
+      for (int I = 0; I < 3000; ++I) {
+        Seen = CP.stuckReport();
+        if (Seen.find("step loop") != std::string::npos)
+          break;
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      Runner.join();
     }
-    Runner.join();
+    EXPECT_NE(Seen.find("execution (age "), std::string::npos) << Seen;
+    EXPECT_NE(Seen.find("step loop, task step watermark min "),
+              std::string::npos)
+        << Seen;
+    EXPECT_NE(Seen.find(" of " + std::to_string(CP.stepCount()) + ", "),
+              std::string::npos)
+        << Seen;
+    EXPECT_NE(Seen.find("task(s) parked at min"), std::string::npos) << Seen;
+    EXPECT_TRUE(S.ok()) << S.str();
+    EXPECT_TRUE(CP.stuckReport().empty()) << CP.stuckReport();
+    EXPECT_EQ(Set.output(Prob.A), Expected)
+        << "delays must not corrupt bytes";
   }
-  EXPECT_FALSE(Seen.empty()) << "the in-flight execution must be visible";
-  EXPECT_NE(Seen.find("execution (age "), std::string::npos) << Seen;
-  EXPECT_TRUE(S.ok()) << S.str();
-  EXPECT_TRUE(CP.stuckReport().empty()) << CP.stuckReport();
-  EXPECT_EQ(Set.output(Prob.A), Expected) << "delays must not corrupt bytes";
 }
 
 // Program-level heartbeat: nodes-complete progress of an in-flight

@@ -1,14 +1,12 @@
 //===- tests/FaultToleranceTest.cpp - Fault-tolerant execution --*- C++ -*-===//
 //
 // The failure contract of the execution engine, driven by deterministic
-// fault injection: an injected failure at any hook site (gather, prefetch
-// ticket, leaf launch, writeback, allocation), under any pipeline/views
-// configuration, comes back as a recoverable Status; the artifact stays
-// reusable and a subsequent clean execution is bitwise-identical to an
-// uninjected run. Also covers the Executor's graceful-degradation retry
-// ladder, poisoned-artifact eviction from the PlanCache, structured error
-// propagation through Tensor::tryEvaluate, and the ThreadPool's
-// exception-capture contract.
+// fault injection: an injected failure at any hook site (gather, leaf
+// launch, writeback, allocation), with views on or off, comes back as a
+// recoverable Status; the artifact stays reusable and a subsequent clean
+// execution is bitwise-identical to an uninjected run. Also covers the
+// Executor's execute-once tryRun, structured error propagation through
+// Tensor::tryEvaluate, and the ThreadPool's exception-capture contract.
 //
 // The fractional-rate test honours DISTAL_FAULT_SEED so CI can sweep seeds;
 // every seed must satisfy the same containment property.
@@ -56,7 +54,7 @@ uint64_t envSeed() {
 }
 
 /// A Cannon matmul (systolic rotations: launch + step gathers, relay-fed
-/// prefetch, real writeback) with regions, the densest exercise of every
+/// steps, real writeback) with regions, the densest exercise of every
 /// hook site.
 struct Harness {
   MatmulProblem Prob;
@@ -89,11 +87,10 @@ struct Harness {
   }
 };
 
-ExecOptions optsFor(Pipeline Pipe, bool Views) {
+ExecOptions optsFor(bool Views) {
   ExecOptions Opts;
   Opts.NumThreads = 4;
   Opts.Mode = TraceMode::Off;
-  Opts.Pipe = Pipe;
   Opts.ZeroCopyViews = Views;
   return Opts;
 }
@@ -109,57 +106,43 @@ FaultInjector::Config alwaysFire(Site S, int64_t MaxInjections = -1) {
 
 } // namespace
 
-// Every hook site, under every pipeline/views combination, against a fresh
-// artifact (so the Alloc site fires in ensureExecState): an injected fault
-// either surfaces as a recoverable Status — after which the same artifact
-// executes cleanly and bitwise matches the uninjected reference — or the
-// site is legitimately unreached in that configuration (zero injections,
-// output already correct).
+// Every hook site, with views on and off, against a fresh artifact (so
+// the Alloc site fires in ensureExecState): an injected fault surfaces as
+// a recoverable Status, after which the same artifact executes cleanly and
+// bitwise matches the uninjected reference.
 TEST(FaultTolerance, EverySiteEveryConfigIsContained) {
   Harness H;
   // Uninjected reference output, from its own artifact.
   CompiledPlan Ref(H.Prob.P);
-  Ref.execute(H.Regions, optsFor(Pipeline::Off, true));
+  Ref.execute(H.Regions, optsFor(true));
   const std::vector<double> Expected = H.output();
 
-  const Site Sites[] = {Site::Gather, Site::Prefetch, Site::Leaf,
-                        Site::Writeback, Site::Alloc};
-  for (Pipeline Pipe : {Pipeline::DoubleBuffer, Pipeline::Off}) {
-    for (bool Views : {true, false}) {
-      ExecOptions Opts = optsFor(Pipe, Views);
-      for (Site S : Sites) {
-        SCOPED_TRACE(std::string("site=") + FaultInjector::siteName(S) +
-                     " pipe=" + (Pipe == Pipeline::Off ? "off" : "double") +
-                     " views=" + (Views ? "on" : "off"));
-        CompiledPlan CP(H.Prob.P);
-        Trace T;
-        Status St;
-        {
-          ScopedFaultInjection Inject(alwaysFire(S));
-          St = CP.tryExecute(H.Regions, T, Opts);
-          // Only the prefetch site may legitimately go unreached (there
-          // are no prefetch tickets without the pipeline); every other
-          // site must actually fire under every configuration.
-          bool MayBeUnreached = (S == Site::Prefetch);
-          if (St.ok()) {
-            EXPECT_TRUE(MayBeUnreached);
-            EXPECT_EQ(FaultInjector::stats().totalInjected(), 0);
-          } else {
-            EXPECT_EQ(St.code(), ErrorCode::Injected) << St.str();
-            EXPECT_NE(St.message().find(FaultInjector::siteName(S)),
-                      std::string::npos)
-                << St.str();
-            EXPECT_NE(St.message().find("reusable"), std::string::npos)
-                << "containment note missing: " << St.str();
-            EXPECT_FALSE(CP.poisoned());
-          }
-        }
-        // The artifact must be reusable after the failure, and a clean
-        // execution must be bitwise-identical to the uninjected run.
-        Status Clean = CP.tryExecute(H.Regions, T, Opts);
-        ASSERT_TRUE(Clean.ok()) << Clean.str();
-        EXPECT_EQ(H.output(), Expected);
+  const Site Sites[] = {Site::Gather, Site::Leaf, Site::Writeback,
+                        Site::Alloc};
+  for (bool Views : {true, false}) {
+    ExecOptions Opts = optsFor(Views);
+    for (Site S : Sites) {
+      SCOPED_TRACE(std::string("site=") + FaultInjector::siteName(S) +
+                   " views=" + (Views ? "on" : "off"));
+      CompiledPlan CP(H.Prob.P);
+      Trace T;
+      {
+        ScopedFaultInjection Inject(alwaysFire(S));
+        Status St = CP.tryExecute(H.Regions, T, Opts);
+        ASSERT_FALSE(St.ok()) << "every site must fire in every config";
+        EXPECT_EQ(St.code(), ErrorCode::Injected) << St.str();
+        EXPECT_NE(St.message().find(FaultInjector::siteName(S)),
+                  std::string::npos)
+            << St.str();
+        EXPECT_NE(St.message().find("reusable"), std::string::npos)
+            << "containment note missing: " << St.str();
       }
+      // The artifact must be reusable after the failure, and a clean
+      // execution must be bitwise-identical to the uninjected run.
+      Status Clean = CP.tryExecute(H.Regions, T, Opts);
+      ASSERT_TRUE(Clean.ok()) << Clean.str();
+      EXPECT_EQ(H.output(), Expected);
+      EXPECT_EQ(CP.arenaStats().Discarded, 1);
     }
   }
 }
@@ -170,11 +153,11 @@ TEST(FaultTolerance, EverySiteEveryConfigIsContained) {
 TEST(FaultTolerance, FractionalRateRepeatedExecutionsStayContained) {
   Harness H;
   CompiledPlan Ref(H.Prob.P);
-  Ref.execute(H.Regions, optsFor(Pipeline::Off, true));
+  Ref.execute(H.Regions, optsFor(true));
   const std::vector<double> Expected = H.output();
 
   CompiledPlan CP(H.Prob.P);
-  ExecOptions Opts = optsFor(Pipeline::DoubleBuffer, true);
+  ExecOptions Opts = optsFor(true);
   int Failures = 0;
   {
     FaultInjector::Config C;
@@ -188,7 +171,6 @@ TEST(FaultTolerance, FractionalRateRepeatedExecutionsStayContained) {
       if (!S.ok()) {
         ++Failures;
         EXPECT_EQ(S.code(), ErrorCode::Injected) << S.str();
-        EXPECT_FALSE(CP.poisoned());
       }
     }
   }
@@ -199,10 +181,11 @@ TEST(FaultTolerance, FractionalRateRepeatedExecutionsStayContained) {
   EXPECT_EQ(H.output(), Expected);
 }
 
-// A transient fault (one injection, then the budget is exhausted) fails the
-// first rung and succeeds on a later one; tryRun reports OK with the trail
-// recording the degradation.
-TEST(FaultTolerance, RetryLadderRecoversFromTransientFault) {
+// tryRun executes once, like submit() and the Tensor API: a transient
+// fault (one injection, then the budget is exhausted) fails the run with
+// the contained Status, and the next run on the same executor succeeds
+// with the reference bytes.
+TEST(FaultTolerance, TryRunExecutesOnceAndStaysUsable) {
   Harness H;
   Executor Ref(H.Prob.P);
   Ref.setNumThreads(4);
@@ -216,57 +199,24 @@ TEST(FaultTolerance, RetryLadderRecoversFromTransientFault) {
   {
     ScopedFaultInjection Inject(alwaysFire(Site::Leaf, /*MaxInjections=*/1));
     S = E.tryRun(H.Regions, T, TraceMode::Off);
-  }
-  ASSERT_TRUE(S.ok()) << S.str();
-  ASSERT_GE(E.degradationTrail().size(), 2u);
-  EXPECT_EQ(E.degradationTrail()[0].Rung, "as-configured");
-  EXPECT_EQ(E.degradationTrail()[0].Outcome.code(), ErrorCode::Injected);
-  EXPECT_TRUE(E.degradationTrail().back().Outcome.ok());
-  EXPECT_EQ(H.output(), Expected);
-}
-
-// A persistent fault (leaf site at rate 1, interpreted leaves included)
-// fails every rung: tryRun surfaces the original Status annotated with the
-// full degradation trail, and run() throws it.
-TEST(FaultTolerance, RetryLadderSurfacesTrailWhenAllRungsFail) {
-  Harness H;
-  Executor E(H.Prob.P);
-  E.setNumThreads(4);
-  Trace T;
-  Status S;
-  {
-    ScopedFaultInjection Inject(alwaysFire(Site::Leaf));
-    S = E.tryRun(H.Regions, T, TraceMode::Off);
+    EXPECT_EQ(FaultInjector::stats().totalInjected(), 1);
   }
   ASSERT_FALSE(S.ok());
-  EXPECT_EQ(S.code(), ErrorCode::Injected);
-  ASSERT_EQ(E.degradationTrail().size(), 4u);
-  EXPECT_EQ(E.degradationTrail()[1].Rung, "pipeline-off");
-  EXPECT_EQ(E.degradationTrail()[2].Rung, "zero-copy-views-off");
-  EXPECT_EQ(E.degradationTrail()[3].Rung, "interpreted-leaves");
-  for (const Executor::RetryAttempt &A : E.degradationTrail())
-    EXPECT_FALSE(A.Outcome.ok()) << A.Rung;
-  // The whole trail is rendered into the Status, first attempt included,
-  // so the error alone tells the full degradation story.
-  EXPECT_NE(S.message().find("degradation trail:"), std::string::npos)
-      << S.str();
-  EXPECT_NE(S.message().find("rung 'as-configured'"), std::string::npos)
-      << S.str();
-  EXPECT_NE(S.message().find("rung 'interpreted-leaves'"), std::string::npos)
-      << S.str();
+  EXPECT_EQ(S.code(), ErrorCode::Injected) << S.str();
+  EXPECT_NE(S.message().find("reusable"), std::string::npos) << S.str();
+  EXPECT_EQ(E.compiled().arenaStats().Discarded, 1)
+      << "exactly one execution may run";
   {
     ScopedFaultInjection Inject(alwaysFire(Site::Leaf));
     EXPECT_DISTAL_ERROR(E.run(H.Regions, TraceMode::Off), "injected fault");
   }
   // Disarmed, the same executor runs cleanly again.
-  Status Clean = E.tryRun(H.Regions, T, TraceMode::Off);
-  EXPECT_TRUE(Clean.ok()) << Clean.str();
-  EXPECT_TRUE(E.degradationTrail().empty());
+  ASSERT_TRUE(E.tryRun(H.Regions, T, TraceMode::Off).ok());
+  EXPECT_EQ(H.output(), Expected);
 }
 
-// Bad input is not retried: the ladder would fail identically on every
-// rung, so the InvalidArgument surfaces from the first attempt alone.
-TEST(FaultTolerance, InvalidArgumentIsNotRetried) {
+// Bad input comes back as InvalidArgument from tryRun.
+TEST(FaultTolerance, TryRunReportsInvalidArgument) {
   Harness H;
   Executor E(H.Prob.P);
   std::map<TensorVar, Region *> Missing = H.Regions;
@@ -275,59 +225,6 @@ TEST(FaultTolerance, InvalidArgumentIsNotRetried) {
   Status S = E.tryRun(Missing, T, TraceMode::Off);
   ASSERT_FALSE(S.ok());
   EXPECT_EQ(S.code(), ErrorCode::InvalidArgument);
-  EXPECT_EQ(E.degradationTrail().size(), 1u);
-}
-
-// A poisoned artifact refuses further executions, and both the Executor
-// facade and Tensor::compile drop it instead of serving it again.
-TEST(FaultTolerance, PoisonedArtifactIsRefusedAndEvicted) {
-  Harness H;
-  {
-    CompiledPlan CP(H.Prob.P);
-    CP.poisonForTesting();
-    Trace T;
-    Status S = CP.tryExecute(H.Regions, T, optsFor(Pipeline::Off, true));
-    ASSERT_FALSE(S.ok());
-    EXPECT_EQ(S.code(), ErrorCode::FailedPrecondition);
-  }
-  {
-    Executor E(H.Prob.P);
-    E.setNumThreads(2);
-    CompiledPlan *First = &E.compiled();
-    First->poisonForTesting();
-    CompiledPlan *Second = &E.compiled();
-    EXPECT_NE(First, Second) << "poisoned artifact must be recompiled";
-    EXPECT_FALSE(Second->poisoned());
-    Trace T;
-    EXPECT_TRUE(E.tryRun(H.Regions, T, TraceMode::Off).ok());
-  }
-
-  // PlanCache eviction through the Tensor API.
-  Machine M = Machine::grid({2, 2});
-  Format Tiles({ModeKind::Dense, ModeKind::Dense},
-               TensorDistribution::parse("xy->xy"));
-  Tensor A("A", {16, 16}, Tiles), B("B", {16, 16}, Tiles),
-      C("C", {16, 16}, Tiles);
-  B.fillRandom(5);
-  C.fillRandom(7);
-  IndexVar I("i"), J("j"), K("k");
-  A(I, J) = B(I, K) * C(K, J);
-  IndexVar Io("io"), Ii("ii"), Jo("jo"), Ji("ji"), Ko("ko"), Ki("ki");
-  A.schedule()
-      .distribute({I, J}, {Io, Jo}, {Ii, Ji}, M)
-      .split(K, Ko, Ki, 8)
-      .reorder({Io, Jo, Ko, Ii, Ji, Ki})
-      .communicate(A, Jo)
-      .communicate({B, C}, Ko)
-      .substitute({Ii, Ji, Ki}, LeafKernel::GeMM);
-
-  std::shared_ptr<CompiledPlan> CP1 = A.compile(M);
-  CP1->poisonForTesting();
-  std::shared_ptr<CompiledPlan> CP2 = A.compile(M);
-  EXPECT_NE(CP1.get(), CP2.get())
-      << "compile() must evict a poisoned cache entry";
-  EXPECT_FALSE(CP2->poisoned());
-  EXPECT_TRUE(A.tryEvaluate(M).ok());
 }
 
 // Structured propagation through the user-facing Tensor boundary: an
@@ -401,8 +298,7 @@ TEST(FaultTolerance, DisarmedInjectorIsInert) {
   Harness H;
   CompiledPlan CP(H.Prob.P);
   Trace T;
-  ASSERT_TRUE(
-      CP.tryExecute(H.Regions, T, optsFor(Pipeline::DoubleBuffer, true)).ok());
+  ASSERT_TRUE(CP.tryExecute(H.Regions, T, optsFor(true)).ok());
 }
 
 // Strict DISTAL_FAULT_* parsing: every malformed value is ignored (the
@@ -448,6 +344,15 @@ TEST(FaultTolerance, ParseEnvConfigRejectsMalformedValues) {
   EXPECT_EQ(C.Rate, 0);
   EXPECT_EQ(C.SiteMask, FaultInjector::allSites());
 
+  // "prefetch" named a site of the removed double-buffered prefetch lane:
+  // an old config naming it is warned about, and the rest of the list
+  // still arms.
+  W.clear();
+  C = FaultInjector::parseEnvConfig(nullptr, nullptr, "prefetch,leaf",
+                                    nullptr, nullptr, nullptr, &W);
+  EXPECT_EQ(C.SiteMask, FaultInjector::maskFor(Site::Leaf));
+  EXPECT_NE(W.find("unknown fault site 'prefetch'"), std::string::npos) << W;
+
   // Out-of-range rate is malformed too (probability, not a multiplier).
   W.clear();
   C = FaultInjector::parseEnvConfig("1.5", nullptr, nullptr, nullptr, nullptr,
@@ -476,7 +381,7 @@ TEST(FaultTolerance, ParseSitesWarnsOnUnknownNames) {
 TEST(FaultTolerance, DelayActionStretchesTimeWithoutCorruption) {
   Harness H;
   CompiledPlan CP(H.Prob.P);
-  CP.execute(H.Regions, optsFor(Pipeline::DoubleBuffer, true));
+  CP.execute(H.Regions, optsFor(true));
   const std::vector<double> Expected = H.output();
 
   FaultInjector::Config C;
@@ -489,8 +394,7 @@ TEST(FaultTolerance, DelayActionStretchesTimeWithoutCorruption) {
   {
     ScopedFaultInjection Inject(C);
     Trace T;
-    Status S = CP.tryExecute(H.Regions, T, optsFor(Pipeline::DoubleBuffer,
-                                                   true));
+    Status S = CP.tryExecute(H.Regions, T, optsFor(true));
     ASSERT_TRUE(S.ok()) << "delays must never fail an execution: " << S.str();
     Fired = FaultInjector::stats().totalInjected();
   }

@@ -1,11 +1,11 @@
 //===- tests/OverloadTest.cpp - Memory governor and overload behavior -----===//
 //
 // The resource-governance contract under overload: every significant
-// allocation (Region storage, arena instance/back buffers, PlanCache
+// allocation (Region storage, arena instance buffers, PlanCache
 // artifacts) is charged against the process-wide ResourceGovernor budget,
 // and the three pressure responses degrade service instead of dying in
-// std::bad_alloc — soft pressure admits with Pipeline::Off (bitwise-
-// identical output) and stops caching arenas/artifacts, hard pressure
+// std::bad_alloc — soft pressure stops caching arenas/artifacts (output
+// stays bitwise-identical), hard pressure
 // sheds queued unclaimed requests newest-first with ResourceExhausted and
 // a machine-readable retry-after hint (running executions are never
 // touched), and the per-artifact circuit breaker fails fast with
@@ -104,7 +104,7 @@ ResourceGovernor::Config observeOnly() {
   return C;
 }
 
-/// A Cannon matmul: launch + step gathers, relay-fed prefetch, real
+/// A Cannon matmul: launch + step gathers, relay-fed steps, real
 /// writeback — the densest exercise of the execute walk.
 MatmulProblem makeCannon(Coord N = 24) {
   MatmulOptions O;
@@ -360,10 +360,9 @@ TEST(Overload, ChargeReleaseExactnessAcrossOutcomes) {
 
 // ---- Graceful degradation (soft watermark) ---------------------------------
 
-// Soft pressure degrades the admission to Pipeline::Off — recorded in the
-// governor stats and in the Status note — and the output bytes are
-// bitwise-identical to the undegraded run. The arena pool stops caching
-// idle arenas while the pressure lasts.
+// Soft pressure admits and runs the request as usual — the output bytes
+// are bitwise-identical to the unpressured run and nothing is shed — but
+// the arena pool stops caching idle arenas while the pressure lasts.
 TEST(Overload, SoftPressureDegradesBitwiseIdentical) {
   MatmulProblem Prob = makeCannon(32);
   CompiledPlan CP(Prob.P);
@@ -379,13 +378,10 @@ TEST(Overload, SoftPressureDegradesBitwiseIdentical) {
                            AdmissionQueue::Dispatch::Deferred);
   const Status &S = F.wait();
   EXPECT_TRUE(S.ok()) << S.str();
-  EXPECT_NE(S.message().find("pipelining off"), std::string::npos)
-      << "degraded admission must be noted on the Status: " << S.str();
   EXPECT_EQ(Set.output(Prob.A), Expected)
-      << "degraded execution must be bitwise-identical";
+      << "execution under pressure must be bitwise-identical";
 
   ResourceGovernor::Stats G = ResourceGovernor::stats();
-  EXPECT_EQ(G.DegradedAdmissions, 1);
   EXPECT_EQ(G.ShedRequests, 0) << "soft pressure never sheds";
   EXPECT_GE(G.ArenaCacheBypasses, 1)
       << "idle arenas are freed, not cached, under pressure";
@@ -668,7 +664,6 @@ TEST(Overload, BreakerConcurrentSubmitters) {
       EXPECT_EQ(S.code(), ErrorCode::FailedPrecondition) << S.str();
   }
   EXPECT_TRUE(Recovered);
-  EXPECT_FALSE(CP.poisoned());
 }
 
 // ---- Stats plumbing (satellite 2) ------------------------------------------
@@ -751,13 +746,12 @@ TEST(Overload, SoakManyClientsUnderPressure) {
   for (const Status &S : RunPhase())
     EXPECT_TRUE(S.ok()) << S.str();
 
-  // Phase 2 — soft pressure: everything still succeeds (degraded).
+  // Phase 2 — soft pressure: everything still succeeds.
   {
     ScopedGovernor Gov(softPinned());
     ClientRegions Pressure(Prob); // Accounted usage: Pressure::Soft.
     for (const Status &S : RunPhase())
       EXPECT_TRUE(S.ok()) << S.str();
-    EXPECT_GE(ResourceGovernor::stats().DegradedAdmissions, PhaseClients);
   }
 
   // Phase 3 — hard pressure: the excess is shed, never crashed.
@@ -779,7 +773,6 @@ TEST(Overload, SoakManyClientsUnderPressure) {
   // Phase 4 — disarmed again: full service resumes, artifact intact.
   for (const Status &S : RunPhase())
     EXPECT_TRUE(S.ok()) << S.str();
-  EXPECT_FALSE(CP.poisoned());
   AdmissionQueue::Stats S = CP.admission().stats();
   EXPECT_GT(S.Shed, 0);
   EXPECT_GE(S.Admitted, 3 * PhaseClients);

@@ -1,13 +1,13 @@
-//===- tests/PipelineTest.cpp - Pipelined executor correctness -*- C++ -*-===//
+//===- tests/PipelineTest.cpp - Step-order correctness ---------*- C++ -*-===//
 //
-// The pipelined execution order (per-task step progression + double-
-// buffered gather prefetch) must be observationally identical to the
-// bulk-synchronous order: output data bitwise-equal at every thread count
-// and task/leaf split, for home-fed prefetch (SUMMA broadcasts), relay-
-// dependent prefetch (rotated Cannon shifts), general-affine leaves
-// (MTTKRP), and a forced-relay placement that must disable prefetch
-// entirely. Also covers the launch-phase zero-skip for overwrite-proven
-// leaves and the execute() serialization contract.
+// The executor's one step order (per-task chains of gathers and leaves,
+// no global step barrier) must produce the same bytes whatever the thread
+// count and task/leaf split: output data bitwise-equal to the 1-thread
+// walk, for home-fed step gathers (SUMMA broadcasts), relay-routed ones
+// (rotated Cannon shifts), general-affine leaves (MTTKRP), and a collapsed
+// placement where every task shares one processor. Also covers the
+// launch-phase zero-skip for overwrite-proven leaves and concurrent
+// executes of one artifact.
 //
 //===----------------------------------------------------------------------===//
 
@@ -31,12 +31,12 @@ struct RunResult {
   std::vector<double> OutData;
 };
 
-/// Runs \p P at the given configuration and pipeline mode over freshly
-/// filled regions. TaskWays == 0 uses setNumThreads(Threads) (adaptive
-/// split); otherwise the split is pinned.
+/// Runs \p P at the given configuration over freshly filled regions.
+/// TaskWays == 0 uses setNumThreads(Threads) (adaptive split); otherwise
+/// the split is pinned.
 RunResult runPlan(const Plan &P, const std::vector<TensorVar> &Tensors,
-                  Pipeline Pipe, int Threads, int TaskWays = 0,
-                  int LeafWays = 0) {
+                  int Threads, int TaskWays = 0, int LeafWays = 0,
+                  LeafStrategy Strategy = LeafStrategy::Compiled) {
   std::map<TensorVar, Region *> Regions;
   std::vector<std::unique_ptr<Region>> Storage;
   for (size_t I = 0; I < Tensors.size(); ++I) {
@@ -47,7 +47,7 @@ RunResult runPlan(const Plan &P, const std::vector<TensorVar> &Tensors,
     Regions[T] = Storage.back().get();
   }
   Executor Exec(P);
-  Exec.setPipeline(Pipe);
+  Exec.setLeafStrategy(Strategy);
   if (TaskWays > 0)
     Exec.setThreadSplit(TaskWays, LeafWays);
   else
@@ -63,34 +63,32 @@ RunResult runPlan(const Plan &P, const std::vector<TensorVar> &Tensors,
 void expectSameData(const RunResult &A, const RunResult &B) {
   ASSERT_EQ(A.OutData.size(), B.OutData.size());
   for (size_t I = 0; I < A.OutData.size(); ++I)
-    // Bitwise, not approximate: pipelining must not change any rounding.
+    // Bitwise, not approximate: the split must not change any rounding.
     ASSERT_EQ(A.OutData[I], B.OutData[I]) << "element " << I;
 }
 
-/// Sweeps Off vs DoubleBuffer across the DeterminismTest thread grid:
-/// adaptive 1 and 8 threads plus every pinned {1,2,8} x {1,4} split.
-void expectPipelineIdentical(const Plan &P,
-                             const std::vector<TensorVar> &Tensors) {
-  RunResult Ref = runPlan(P, Tensors, Pipeline::Off, 1);
-  for (int Threads : {1, 8}) {
-    SCOPED_TRACE("adaptive threads " + std::to_string(Threads));
-    RunResult On = runPlan(P, Tensors, Pipeline::DoubleBuffer, Threads);
-    expectSameData(Ref, On);
+/// Sweeps the 1-thread walk against the DeterminismTest thread grid —
+/// adaptive 8 threads plus every pinned {1,2,8} x {1,4} task/leaf split —
+/// for both leaf strategies.
+void expectStepOrderIdentical(const Plan &P,
+                              const std::vector<TensorVar> &Tensors) {
+  for (LeafStrategy Strategy :
+       {LeafStrategy::Compiled, LeafStrategy::Interpreted}) {
+    SCOPED_TRACE(Strategy == LeafStrategy::Compiled ? "compiled leaves"
+                                                    : "interpreted leaves");
+    RunResult Ref = runPlan(P, Tensors, 1, 0, 0, Strategy);
+    expectSameData(Ref, runPlan(P, Tensors, 8, 0, 0, Strategy));
+    for (int TaskWays : {1, 2, 8})
+      for (int LeafWays : {1, 4}) {
+        SCOPED_TRACE("task ways " + std::to_string(TaskWays) +
+                     ", leaf ways " + std::to_string(LeafWays));
+        expectSameData(
+            Ref, runPlan(P, Tensors, 0, TaskWays, LeafWays, Strategy));
+      }
   }
-  for (int TaskWays : {1, 2, 8})
-    for (int LeafWays : {1, 4}) {
-      SCOPED_TRACE("task ways " + std::to_string(TaskWays) + ", leaf ways " +
-                   std::to_string(LeafWays));
-      RunResult Off =
-          runPlan(P, Tensors, Pipeline::Off, 0, TaskWays, LeafWays);
-      RunResult On =
-          runPlan(P, Tensors, Pipeline::DoubleBuffer, 0, TaskWays, LeafWays);
-      expectSameData(Ref, Off);
-      expectSameData(Ref, On);
-    }
 }
 
-/// The gather-heavy rotated-Cannon shape of the overlap_cannon bench:
+/// A gather-heavy rotated-Cannon shape:
 /// A(n, r) = B(n, n) * C(n, r) on a g x 1 grid, K rotated systolically —
 /// B's shifts are home-fed per task, C's relay between neighbour tasks.
 Plan tallSkinnyCannon(Coord N, Coord R, int G, TensorVar &A, TensorVar &B,
@@ -120,9 +118,8 @@ Plan tallSkinnyCannon(Coord N, Coord R, int G, TensorVar &A, TensorVar &B,
   return lower(S.takeNest(), M, std::move(Formats));
 }
 
-/// Mapper collapsing every task onto processor 0: the relay sources become
-/// ambiguous (several tasks per processor), which must conservatively
-/// disable relay-dependent prefetch.
+/// Mapper collapsing every task onto processor 0: several tasks share
+/// each relay source, and the tasks' home-resident blocks change.
 struct CollapseMapper : Mapper {
   Point placeTask(const Point &, const Rect &, const Machine &M) const
       override {
@@ -132,123 +129,101 @@ struct CollapseMapper : Mapper {
 
 } // namespace
 
-TEST(Pipeline, RotatedCannonIdentical) {
+TEST(StepOrder, RotatedCannonIdentical) {
   MatmulOptions Opts;
   Opts.N = 36;
   Opts.Procs = 9;
   MatmulProblem Prob = buildMatmul(MatmulAlgo::Cannon, Opts);
-  expectPipelineIdentical(Prob.P, {Prob.A, Prob.B, Prob.C});
+  expectStepOrderIdentical(Prob.P, {Prob.A, Prob.B, Prob.C});
 }
 
-TEST(Pipeline, SummaIdentical) {
+TEST(StepOrder, SummaIdentical) {
   MatmulOptions Opts;
   Opts.N = 32;
   Opts.Procs = 4;
-  Opts.ChunkSize = 4; // Many home-fed broadcast steps to prefetch.
+  Opts.ChunkSize = 4; // Many home-fed broadcast steps.
   MatmulProblem Prob = buildMatmul(MatmulAlgo::Summa, Opts);
-  expectPipelineIdentical(Prob.P, {Prob.A, Prob.B, Prob.C});
+  expectStepOrderIdentical(Prob.P, {Prob.A, Prob.B, Prob.C});
 }
 
-TEST(Pipeline, MttkrpIdentical) {
+TEST(StepOrder, MttkrpIdentical) {
   HigherOrderOptions Opts;
   Opts.Dim = 16;
   Opts.Rank = 8;
   Opts.Procs = 4;
   HigherOrderProblem Prob = buildHigherOrder(HigherOrderKernel::MTTKRP, Opts);
-  expectPipelineIdentical(Prob.P, Prob.Tensors);
+  expectStepOrderIdentical(Prob.P, Prob.Tensors);
 }
 
-TEST(Pipeline, TallSkinnyCannonIdentical) {
+TEST(StepOrder, TallSkinnyCannonIdentical) {
   TensorVar A, B, C;
   Plan P = tallSkinnyCannon(64, 8, 4, A, B, C);
-  expectPipelineIdentical(P, {A, B, C});
+  expectStepOrderIdentical(P, {A, B, C});
 }
 
-TEST(Pipeline, UnevenTilesIdentical) {
+TEST(StepOrder, UnevenTilesIdentical) {
   // Ragged edge tiles: guarded leaves + empty-iteration steps must not
   // confuse the per-task chains.
   MatmulOptions Opts;
   Opts.N = 19;
   Opts.Procs = 4;
   MatmulProblem Prob = buildMatmul(MatmulAlgo::Cannon, Opts);
-  expectPipelineIdentical(Prob.P, {Prob.A, Prob.B, Prob.C});
+  expectStepOrderIdentical(Prob.P, {Prob.A, Prob.B, Prob.C});
 }
 
-TEST(Pipeline, PrefetchScheduleClassification) {
-  // Rotated Cannon: the systolic shifts relay between tasks, so the
-  // schedule records cross-task dependencies (and step 0 home fetches).
+TEST(StepOrder, RelayRoutingInTraceSkeleton) {
+  // Rotated Cannon: after the first step, fetches relay from the
+  // neighbour that held the block last step, and each task's systolic
+  // walk passes over its home block once per operand (those fetches bind
+  // as views, so some step bytes are elided). Phase 0 is the launch,
+  // phases 1..steps the step loop, the last one the writeback.
   MatmulOptions Opts;
   Opts.N = 36;
   Opts.Procs = 9;
   MatmulProblem Cannon = buildMatmul(MatmulAlgo::Cannon, Opts);
   CompiledPlan CannonCP(Cannon.P);
-  CompiledPlan::PrefetchStats CS = CannonCP.prefetchStats();
-  EXPECT_GT(CS.Dependent, 0);
-  EXPECT_GT(CS.Free, 0); // Step-0 fetches are home-fed.
-  EXPECT_EQ(CS.Excluded, 0);
-  // Each task's systolic walk passes over its home block once per operand:
-  // those fetches are view-elided, not prefetchable (nothing to hide).
-  EXPECT_GT(CS.Elided, 0);
+  const Trace &CT = CannonCP.trace();
+  ASSERT_GT(CT.Phases.size(), 3u);
+  int64_t Relays = 0;
+  for (size_t Ph = 2; Ph + 1 < CT.Phases.size(); ++Ph)
+    for (const Message &M : CT.Phases[Ph].Messages)
+      Relays += M.Src != M.Dst ? 1 : 0;
+  EXPECT_GT(Relays, 0);
+  EXPECT_GT(CannonCP.dataMovementStats().ElidedBytes, 0);
 
-  // SUMMA: chunked broadcasts always fetch from the home distribution —
-  // every fetch that moves bytes is freely prefetchable, and the chunks
-  // already resident on their owner are view-elided.
-  MatmulOptions SOpts;
-  SOpts.N = 32;
-  SOpts.Procs = 4;
-  SOpts.ChunkSize = 8;
-  MatmulProblem Summa = buildMatmul(MatmulAlgo::Summa, SOpts);
-  CompiledPlan SummaCP(Summa.P);
-  CompiledPlan::PrefetchStats SS = SummaCP.prefetchStats();
-  EXPECT_GT(SS.Free, 0);
-  EXPECT_EQ(SS.Dependent, 0);
-  EXPECT_EQ(SS.Excluded, 0);
-  EXPECT_GT(SS.Elided, 0);
-}
-
-TEST(Pipeline, ForcedRelayDisablesPrefetch) {
-  // Collapsing every task onto one processor makes each relay source
-  // ambiguous: the compile phase must exclude those gathers from the
-  // prefetch schedule, and execution must still match the serial path.
-  MatmulOptions Opts;
-  Opts.N = 36;
-  Opts.Procs = 9;
-  MatmulProblem Prob = buildMatmul(MatmulAlgo::Cannon, Opts);
+  // Collapsed placement: every task runs on processor 0, which holds every
+  // block after the first step, so the relay routing reads every later
+  // step block locally — and execution still matches across threads.
   CollapseMapper Collapse;
-  CompiledPlan CP(Prob.P, Collapse);
-  CompiledPlan::PrefetchStats S = CP.prefetchStats();
-  EXPECT_GT(S.Excluded, 0);
-  EXPECT_EQ(S.Dependent, 0); // No relay source is unambiguous on one proc.
+  CompiledPlan CollapsedCP(Cannon.P, Collapse);
+  for (size_t Ph = 2; Ph + 1 < CollapsedCP.trace().Phases.size(); ++Ph)
+    for (const Message &M : CollapsedCP.trace().Phases[Ph].Messages)
+      EXPECT_EQ(M.Src, M.Dst);
 
-  std::vector<TensorVar> Tensors = {Prob.A, Prob.B, Prob.C};
-  auto runWith = [&](Pipeline Pipe, int Threads) {
+  std::vector<TensorVar> Tensors = {Cannon.A, Cannon.B, Cannon.C};
+  auto runWith = [&](int Threads) {
     std::map<TensorVar, Region *> Regions;
     std::vector<std::unique_ptr<Region>> Storage;
     for (size_t I = 0; I < Tensors.size(); ++I) {
       Storage.push_back(std::make_unique<Region>(
-          Tensors[I], Prob.P.formatOf(Tensors[I]), Prob.P.M));
+          Tensors[I], Cannon.P.formatOf(Tensors[I]), Cannon.P.M));
       if (I > 0)
         Storage.back()->fillRandom(91 * I + 3);
       Regions[Tensors[I]] = Storage.back().get();
     }
     ExecOptions O;
     O.NumThreads = Threads;
-    O.Pipe = Pipe;
-    CP.execute(Regions, O);
+    CollapsedCP.execute(Regions, O);
     std::vector<double> Out;
     Rect::forExtents(Tensors[0].shape()).forEachPoint([&](const Point &Pt) {
       Out.push_back(Regions[Tensors[0]]->at(Pt));
     });
     return Out;
   };
-  std::vector<double> Off = runWith(Pipeline::Off, 1);
-  std::vector<double> On = runWith(Pipeline::DoubleBuffer, 8);
-  ASSERT_EQ(Off.size(), On.size());
-  for (size_t I = 0; I < Off.size(); ++I)
-    ASSERT_EQ(Off[I], On[I]) << "element " << I;
+  EXPECT_EQ(runWith(1), runWith(8));
 }
 
-TEST(Pipeline, ZeroSkipOverwriteLeaves) {
+TEST(StepOrder, ZeroSkipOverwriteLeaves) {
   // Elementwise non-reduction assignment: every original variable appears
   // in the output access, so the compile phase proves full overwrite and
   // skips the launch-phase accumulator zero.
@@ -312,7 +287,7 @@ TEST(Pipeline, ZeroSkipOverwriteLeaves) {
   EXPECT_EQ(GemmCP.zeroSkipTaskCount(), 0);
 }
 
-TEST(Pipeline, ConcurrentExecutesAreIndependent) {
+TEST(StepOrder, ConcurrentExecutesAreIndependent) {
   // The documented contract: the artifact is reentrant — concurrent
   // execute() calls run concurrently, each in its own ExecArena. Two
   // threads execute the same artifact over distinct region sets; both
@@ -337,7 +312,7 @@ TEST(Pipeline, ConcurrentExecutesAreIndependent) {
     return Regions;
   };
 
-  RunResult Ref = runPlan(Prob.P, Tensors, Pipeline::Off, 1);
+  RunResult Ref = runPlan(Prob.P, Tensors, 1);
   std::vector<std::unique_ptr<Region>> S1, S2;
   auto R1 = makeRegions(S1), R2 = makeRegions(S2);
   ExecOptions O;

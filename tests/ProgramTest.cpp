@@ -4,8 +4,8 @@
 // into one CompiledProgram whose tasks run as a single dependency graph.
 // The headline contract is observational invisibility — program execution
 // must produce output bytes bitwise-identical to running the statements one
-// by one, at every thread count, every pinned task/leaf split, pipeline on
-// or off, and with the residency linking enabled or disabled. On top of
+// by one, at every thread count, every pinned task/leaf split, and with the
+// residency linking enabled or disabled. On top of
 // that: the link analysis's elision counts for a known misaligned chain,
 // the PR-6 fault-containment contract (a mid-program injection leaves the
 // artifact reusable), concurrent submissions sharing an input region (the
@@ -219,8 +219,8 @@ TEST(Program, LinkedChainElisionCounts) {
 
 // The headline contract: program output is bitwise-identical to sequential
 // statement-by-statement execution at every tested thread count, every
-// pinned {1,2,8} x {1,4} task/leaf split, pipeline on and off, and with
-// the residency linking on (views) and off (the barrier-graph reference).
+// pinned {1,2,8} x {1,4} task/leaf split, and with the residency linking
+// on (views) and off (the barrier-graph reference).
 TEST(Program, BitwiseIdenticalToSequentialAcrossSplits) {
   ChainProblem C;
   ChainRegions Ref(C);
@@ -238,32 +238,28 @@ TEST(Program, BitwiseIdenticalToSequentialAcrossSplits) {
     expectSame(ExpY, R.bytesOf(C.Y));
   };
 
-  for (bool Views : {true, false})
-    for (Pipeline Pipe : {Pipeline::Off, Pipeline::DoubleBuffer}) {
-      const std::string Tag = std::string(Views ? "views" : "copies") +
-                              (Pipe == Pipeline::Off ? ", pipe off" : ", piped");
-      for (int Threads : {1, 2, 8}) {
-        ExecOptions O = progOpts(Threads);
-        O.ZeroCopyViews = Views;
-        O.Pipe = Pipe;
-        check(O, Tag + ", threads " + std::to_string(Threads));
-      }
-      for (int TaskWays : {1, 2, 8})
-        for (int LeafWays : {1, 4}) {
-          ExecOptions O = progOpts(TaskWays * LeafWays);
-          O.ZeroCopyViews = Views;
-          O.Pipe = Pipe;
-          O.ForceTaskWays = TaskWays;
-          O.ForceLeafWays = LeafWays;
-          check(O, Tag + ", split " + std::to_string(TaskWays) + "x" +
-                       std::to_string(LeafWays));
-        }
+  for (bool Views : {true, false}) {
+    const std::string Tag = Views ? "views" : "copies";
+    for (int Threads : {1, 2, 8}) {
+      ExecOptions O = progOpts(Threads);
+      O.ZeroCopyViews = Views;
+      check(O, Tag + ", threads " + std::to_string(Threads));
     }
+    for (int TaskWays : {1, 2, 8})
+      for (int LeafWays : {1, 4}) {
+        ExecOptions O = progOpts(TaskWays * LeafWays);
+        O.ZeroCopyViews = Views;
+        O.ForceTaskWays = TaskWays;
+        O.ForceLeafWays = LeafWays;
+        check(O, Tag + ", split " + std::to_string(TaskWays) + "x" +
+                     std::to_string(LeafWays));
+      }
+  }
 
   // Steady state: repeated executions reuse pooled program arenas.
   CompiledPlan::ArenaStats S = Prog->arenaStats();
   EXPECT_GT(S.Reused, 0);
-  EXPECT_EQ(S.Discarded + S.Condemned, 0);
+  EXPECT_EQ(S.Discarded, 0);
 }
 
 // Executor::runProgram, the raw-plan front end, matches the same reference.
@@ -341,7 +337,6 @@ TEST(Program, MidProgramFaultLeavesArtifactReusable) {
     ASSERT_TRUE(Prog->tryExecute(R.Regions, progOpts(4)).ok());
     expectSame(ExpY, R.bytesOf(C.Y));
   }
-  EXPECT_EQ(Prog->arenaStats().Condemned, 0);
 }
 
 // Concurrent submissions of two programs sharing an *input* region: safe

@@ -87,10 +87,9 @@ TEST(ThreadPool, FanoutActuallyOverlapsWorkers) {
 }
 
 TEST(ThreadPool, AsyncTicketsCompleteAndHelpInline) {
-  // The communication-lane primitive: detached jobs complete exactly once
+  // The background-lane primitive: detached jobs complete exactly once
   // whether a worker claims them or the waiter runs them inline, and
-  // tickets are safe to wait from inside structured fan-outs (the
-  // pipelined executor's chains do exactly that).
+  // tickets are safe to wait from inside structured fan-outs.
   ThreadPool Pool(4);
   constexpr int N = 64;
   std::vector<std::atomic<int>> Ran(N);

@@ -5,10 +5,9 @@
 // aliased output's writeback) has to produce output bitwise-identical to
 // the copy path at every thread count and task/leaf split, for rotated
 // (Cannon), broadcast (SUMMA), general-affine (MTTKRP), and fully-local
-// single-task shapes. Also covers the compile-time classification (elided
-// gathers leave the prefetchable buckets), the gathered-byte accounting the
-// benches report, the safety preconditions that force the copy path, and
-// the runtime assertion that a viewed instance never flips.
+// single-task shapes. Also covers the compile-time classification of step
+// gathers, the gathered-byte accounting the benches report, and the safety
+// preconditions that force the copy path.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,8 +26,7 @@ namespace {
 
 std::vector<double> runPlan(const Plan &P,
                             const std::vector<TensorVar> &Tensors, bool Views,
-                            Pipeline Pipe, int Threads, int TaskWays = 0,
-                            int LeafWays = 0) {
+                            int Threads, int TaskWays = 0, int LeafWays = 0) {
   std::map<TensorVar, Region *> Regions;
   std::vector<std::unique_ptr<Region>> Storage;
   for (size_t I = 0; I < Tensors.size(); ++I) {
@@ -40,7 +38,6 @@ std::vector<double> runPlan(const Plan &P,
   }
   Executor Exec(P);
   Exec.setZeroCopyViews(Views);
-  Exec.setPipeline(Pipe);
   if (TaskWays > 0)
     Exec.setThreadSplit(TaskWays, LeafWays);
   else
@@ -60,29 +57,22 @@ void expectSame(const std::vector<double> &A, const std::vector<double> &B) {
     ASSERT_EQ(A[I], B[I]) << "element " << I;
 }
 
-/// Sweeps views-on against views-off across both pipeline modes, adaptive
-/// 1 and 8 threads, and every pinned {1,2,8} x {1,4} task/leaf split.
+/// Sweeps views-on against views-off across adaptive 1 and 8 threads and
+/// every pinned {1,2,8} x {1,4} task/leaf split.
 void expectViewsIdentical(const Plan &P,
                           const std::vector<TensorVar> &Tensors) {
-  std::vector<double> Ref =
-      runPlan(P, Tensors, /*Views=*/false, Pipeline::Off, 1);
-  for (Pipeline Pipe : {Pipeline::Off, Pipeline::DoubleBuffer}) {
-    for (int Threads : {1, 8}) {
-      SCOPED_TRACE("adaptive threads " + std::to_string(Threads) +
-                   (Pipe == Pipeline::Off ? ", pipeline off" : ", pipelined"));
-      expectSame(Ref, runPlan(P, Tensors, true, Pipe, Threads));
-    }
-    for (int TaskWays : {1, 2, 8})
-      for (int LeafWays : {1, 4}) {
-        SCOPED_TRACE("task ways " + std::to_string(TaskWays) + ", leaf ways " +
-                     std::to_string(LeafWays) +
-                     (Pipe == Pipeline::Off ? ", pipeline off" : ", pipelined"));
-        expectSame(Ref,
-                   runPlan(P, Tensors, false, Pipe, 0, TaskWays, LeafWays));
-        expectSame(Ref,
-                   runPlan(P, Tensors, true, Pipe, 0, TaskWays, LeafWays));
-      }
+  std::vector<double> Ref = runPlan(P, Tensors, /*Views=*/false, 1);
+  for (int Threads : {1, 8}) {
+    SCOPED_TRACE("adaptive threads " + std::to_string(Threads));
+    expectSame(Ref, runPlan(P, Tensors, true, Threads));
   }
+  for (int TaskWays : {1, 2, 8})
+    for (int LeafWays : {1, 4}) {
+      SCOPED_TRACE("task ways " + std::to_string(TaskWays) + ", leaf ways " +
+                   std::to_string(LeafWays));
+      expectSame(Ref, runPlan(P, Tensors, false, 0, TaskWays, LeafWays));
+      expectSame(Ref, runPlan(P, Tensors, true, 0, TaskWays, LeafWays));
+    }
 }
 
 /// Fully-local single-task GEMM: one processor owns every tensor whole, so
@@ -190,20 +180,22 @@ TEST(ViewAlias, FullyLocalElidesEverything) {
 TEST(ViewAlias, ClassificationAndByteAccounting) {
   // Rotated Cannon on a 3x3 grid: each task's systolic walk passes over
   // its own home block exactly once per operand, so exactly one of its
-  // step fetches per operand is elided; the rest stay prefetchable
-  // (home-fed free or relay-dependent), and nothing is conservatively
-  // excluded. 2 operands x 9 tasks = 18 elided entries of the 54 total.
+  // step fetches per operand is elided and the rest copy. 2 operands x 9
+  // tasks = 18 elided entries of the 54 total.
   MatmulOptions Opts;
   Opts.N = 36;
   Opts.Procs = 9;
   MatmulProblem Prob = buildMatmul(MatmulAlgo::Cannon, Opts);
   CompiledPlan CP(Prob.P);
-  CompiledPlan::PrefetchStats S = CP.prefetchStats();
-  EXPECT_EQ(S.Elided, 18);
-  EXPECT_GT(S.Free, 0);
-  EXPECT_GT(S.Dependent, 0);
-  EXPECT_EQ(S.Excluded, 0);
-  EXPECT_EQ(S.Elided + S.Free + S.Dependent, 54);
+  int64_t Elided = 0, Total = 0;
+  for (const CompiledTask &CT : CP.compiledTasks())
+    for (const auto &Step : CT.StepGathers)
+      for (const CompiledGather &G : Step) {
+        Elided += G.Class == GatherClass::Aliasable ? 1 : 0;
+        ++Total;
+      }
+  EXPECT_EQ(Elided, 18);
+  EXPECT_EQ(Total, 54);
 
   // Byte accounting: the elided share of the gather program is exactly
   // 1/3 (one of three steps per operand), and the disjoint home-resident
@@ -349,20 +341,5 @@ TEST(ViewAlias, CompiledRunsMatchDiscoveredGather) {
         ASSERT_EQ(Discovered.at(P), Replayed.at(P)) << P.str();
       });
   }
-}
-
-TEST(ViewAlias, FlippedInstanceIsNeverAView) {
-  // The pipeline-safety invariant, asserted at runtime: promoting a
-  // prefetched back buffer over a viewed front would clobber the alias,
-  // so the prefetcher must never issue against one — and flip() refuses.
-  TensorVar T("V", {4, 4});
-  Format F({ModeKind::Dense, ModeKind::Dense},
-           TensorDistribution::parse("xy->*"));
-  Region R(T, F, Machine::grid({1}));
-  Rect Sub(Point({0, 0}), Point({2, 4}));
-  Instance I;
-  R.bindView(I, Sub);
-  I.back().reset(Sub);
-  EXPECT_DEATH(I.flip(), "never flips");
 }
 
